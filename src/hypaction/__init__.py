@@ -5,7 +5,6 @@ from .analysis import (
     PSelection,
     estimate_upsilon,
     fit_f_decay,
-    fit_h_decay,
     rho_fitter,
     select_p,
     tail_bound,
@@ -14,7 +13,6 @@ from .bicombing import Bicombing
 from .cayley import (
     CayleyBall,
     CertReport,
-    ball_around,
     build_ball,
     certify_delta,
     distance,
@@ -24,16 +22,13 @@ from .cayley import (
 from .chains import (
     add,
     coefficient_sum,
-    dirac,
     norm_1,
     norm_p,
-    scale,
     sub,
-    support,
     translate,
 )
-from .cocycle import Cocycle, CocycleResult, IdentityReport, pi_apply
-from .flowers import ChainEngine, FlowerSet, NormalizedChain
+from .cocycle import Cocycle, CocycleResult, IdentityReport
+from .flowers import ChainEngine, NormalizedChain
 from .groups import (
     ExplicitBallSpec,
     FreeGroupSpec,
@@ -58,7 +53,6 @@ __all__ = [
     "CocycleResult",
     "DecayFit",
     "ExplicitBallSpec",
-    "FlowerSet",
     "FreeGroupSpec",
     "FreeProductSpec",
     "Generator",
@@ -68,29 +62,23 @@ __all__ = [
     "PSelection",
     "Word",
     "add",
-    "ball_around",
     "ball_from_json",
     "ball_to_json",
     "build_ball",
     "certify_delta",
     "coefficient_sum",
-    "dirac",
     "distance",
     "estimate_upsilon",
     "fit_f_decay",
-    "fit_h_decay",
     "gromov_product",
     "load_ball_file",
     "norm_1",
     "norm_p",
-    "pi_apply",
     "rho_fitter",
-    "scale",
     "select_p",
     "spec_from_descriptor",
     "sphere",
     "sub",
-    "support",
     "tail_bound",
     "translate",
 ]

@@ -13,10 +13,9 @@ import random
 from dataclasses import dataclass, field
 
 from .cayley import CayleyBall, gromov_product
-from .chains import norm_1, sub
+from .chains import norm_1, normalized_diff_pow, sub
 from .errors import ExactnessError, FitError, OutOfWindowError, PSelectionError
 from .flowers import ChainEngine
-from .groups import Word
 
 _LAMBDA_GRID = [i / 200.0 for i in range(1, 200)]
 
@@ -104,12 +103,14 @@ def decay_triples(ball: CayleyBall, sample_count: int, seed: int):
     """Sample triples (b, a, a') stratified so Gromov products span the range.
 
     One third fully random, one third with a' a short perturbation of a
-    (large products), one third with a' = a (zero norms, any product).
+    (large products), one third with a' = a (zero norms, any product). A
+    perturbation that leaves an explicit ball drops its triple; the random
+    draws do not depend on which triples are dropped.
     """
     rng = random.Random(seed)
     spec = ball.spec
     pool = ball.words
-    gens = [(i,) for i in range(len(spec.generators))]
+    n_gens = len(spec.generators)
     out = []
     for j in range(sample_count):
         b = pool[rng.randrange(len(pool))]
@@ -118,12 +119,33 @@ def decay_triples(ball: CayleyBall, sample_count: int, seed: int):
         if kind == 0:
             a2 = pool[rng.randrange(len(pool))]
         elif kind == 1:
-            a2 = a
-            for _ in range(rng.randrange(1, 4)):
-                a2 = spec._mul(a2, gens[rng.randrange(len(gens))])
+            steps = [rng.randrange(n_gens) for _ in range(rng.randrange(1, 4))]
+            try:
+                a2 = a
+                for x in steps:
+                    a2 = spec._mul_letter_right(a2, x)
+            except OutOfWindowError:
+                continue
         else:
             a2 = a
         out.append((b, a, a2))
+    return out
+
+
+def _supported_triples(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: int):
+    """(Gromov product (a|a')_b, f(b, a), f(b, a')) for each sampled triple.
+
+    Triples that an explicit ball cannot support are skipped one by one;
+    their values are undefined rather than zero.
+    """
+    spec = engine.spec
+    out = []
+    for b, a, a2 in decay_triples(ball, sample_count, seed):
+        try:
+            out.append((float(gromov_product(spec, b, a, a2)),
+                        engine.f_chain(b, a), engine.f_chain(b, a2)))
+        except (ExactnessError, OutOfWindowError):
+            continue
     return out
 
 
@@ -134,52 +156,11 @@ def fit_f_decay(
     seed: int,
     cap_factor: float = 32.0,
 ) -> DecayFit:
-    """Envelope for ||f(b,a) - f(b,a')||_1 against (a|a')_b.
-
-    Samples that an explicit ball cannot support are skipped; they are
-    undefined rather than zero.
-    """
-    spec = engine.spec
-    samples = []
-    for b, a, a2 in decay_triples(ball, sample_count, seed):
-        try:
-            v = float(norm_1(sub(engine.f_chain(b, a), engine.f_chain(b, a2))))
-        except (ExactnessError, OutOfWindowError):
-            continue
-        samples.append((float(gromov_product(spec, b, a, a2)), v))
-    return fit_envelope(samples, cap_factor)
-
-
-def _h_diff_norm(engine: ChainEngine, b: Word, a: Word, a2: Word, p: float) -> float:
-    h1 = engine.h_chain(b, a, p).coefficients()
-    h2 = engine.h_chain(b, a2, p).coefficients()
-    s = 0.0
-    for w, x in h1.items():
-        y = h2.get(w)
-        s += x ** p if y is None else abs(x - y) ** p
-    for w, y in h2.items():
-        if w not in h1:
-            s += y ** p
-    return s ** (1.0 / p)
-
-
-def fit_h_decay(
-    engine: ChainEngine,
-    ball: CayleyBall,
-    p: float,
-    sample_count: int,
-    seed: int,
-    cap_factor: float = 32.0,
-) -> DecayFit:
-    """Envelope for ||h(b,a) - h(b,a')||_p against (a|a')_b."""
-    spec = engine.spec
-    samples = []
-    for b, a, a2 in decay_triples(ball, sample_count, seed):
-        try:
-            v = _h_diff_norm(engine, b, a, a2, p)
-        except (ExactnessError, OutOfWindowError):
-            continue
-        samples.append((float(gromov_product(spec, b, a, a2)), v))
+    """Envelope for ||f(b,a) - f(b,a')||_1 against (a|a')_b."""
+    samples = [
+        (x, float(norm_1(sub(f1, f2))))
+        for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed)
+    ]
     return fit_envelope(samples, cap_factor)
 
 
@@ -192,28 +173,17 @@ def rho_fitter(
 ):
     """A per-p decay fitter reusing one sampled triple set.
 
-    Returns (rho_of_p, fits): the callable refits the envelope at each
-    requested p (the decay base may depend on p) and records the DecayFit.
+    Returns (rho_of_p, fits): the callable fits the envelope of
+    ||h(b,a) - h(b,a')||_p against (a|a')_b at each requested p (the decay
+    base may depend on p) and records the DecayFit.
     """
-    spec = engine.spec
-    triples = []
-    for b, a, a2 in decay_triples(ball, sample_count, seed):
-        try:
-            engine.f_chain(b, a)
-            engine.f_chain(b, a2)
-        except (ExactnessError, OutOfWindowError):
-            continue
-        triples.append((b, a, a2))
-    xs = [float(gromov_product(spec, b, a, a2)) for b, a, a2 in triples]
+    triples = _supported_triples(engine, ball, sample_count, seed)
     fits: dict[float, DecayFit] = {}
 
     def rho_of_p(p: float) -> float:
         if p in fits:
             return fits[p].base
-        samples = [
-            (x, _h_diff_norm(engine, b, a, a2, p))
-            for x, (b, a, a2) in zip(xs, triples)
-        ]
+        samples = [(x, normalized_diff_pow(f1, f2, p) ** (1.0 / p)) for x, f1, f2 in triples]
         fit = fit_envelope(samples, cap_factor)
         fits[p] = fit
         return fit.base

@@ -25,7 +25,6 @@ class CayleyBall:
         self.index: dict[Word, int] = {w: i for i, w in enumerate(words)}
         self.dist: list[int] = dist
         self._layer_bounds = layer_bounds
-        self._adjacency: list[list[tuple[int, int]]] | None = None
         self._parents: list[tuple[int, int]] | None = None
 
     def __len__(self):
@@ -47,21 +46,6 @@ class CayleyBall:
         return [self._layer_bounds[r + 1] - self._layer_bounds[r] for r in range(self.radius + 1)]
 
     @property
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (generator index, neighbor handle), ball-internal."""
-        if self._adjacency is None:
-            adj = []
-            for w in self.words:
-                row = []
-                for gi, nb in self.spec.neighbors(w):
-                    h = self.index.get(nb)
-                    if h is not None:
-                        row.append((gi, h))
-                adj.append(row)
-            self._adjacency = adj
-        return self._adjacency
-
-    @property
     def parent_letters(self) -> list[tuple[int, int]]:
         """(parent handle, last letter) per vertex; canonical words are
         prefix-closed, so the parent of w is w[:-1]. Entry 0 is (-1, -1)."""
@@ -73,14 +57,31 @@ class CayleyBall:
             self._parents = out
         return self._parents
 
+    def walk(self, start: Word, right: bool = False) -> list[Word]:
+        """``gamma^-1 start`` for every vertex gamma, or ``start gamma`` when
+        ``right``, indexed by handle.
+
+        Built along the BFS tree with one letter product per vertex, so a
+        sweep over the ball needs no inversions or full products.
+        """
+        spec = self.spec
+        inv = spec._inv
+        left, right_mul = spec._mul_letter_left, spec._mul_letter_right
+        out = [start] * len(self.words)
+        for h, (par, letter) in enumerate(self.parent_letters):
+            if h:
+                out[h] = right_mul(out[par], letter) if right else left(inv[letter], out[par])
+        return out
+
 
 def build_ball(spec: GroupSpec, radius: int, max_vertices: int | None = None) -> CayleyBall:
     """Materialize B(e, radius) by breadth-first search over the group law."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if spec.family == "explicit-ball" and radius > spec.radius:
+    if radius > spec.max_word_length:
         raise OutOfWindowError(
-            f"requested radius {radius} exceeds the explicit ball radius {spec.radius}"
+            f"requested radius {radius} exceeds the longest word of the spec, "
+            f"{spec.max_word_length}"
         )
     words: list[Word] = [()]
     dist = [0]
@@ -141,17 +142,6 @@ def sphere(ball: CayleyBall, x: Word, r: int) -> tuple[set[Word], bool]:
         return members, False
     if r > ball.radius:
         complete = False
-    return members, complete
-
-
-def ball_around(ball: CayleyBall, x: Word, r: int) -> tuple[set[Word], bool]:
-    """B(x, r), as the union of the translated layers up to r."""
-    members: set[Word] = set()
-    complete = True
-    for k in range(r + 1):
-        got, ok = sphere(ball, x, k)
-        members |= got
-        complete = complete and ok
     return members, complete
 
 

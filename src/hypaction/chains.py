@@ -2,8 +2,9 @@
 
 A chain is a plain dict mapping normal-form words to nonzero Fractions.
 Arithmetic is exact; zero coefficients are never stored. The lp norm for
-non-integer p is floating point, with coefficients converted at the last
-step; use norm_1 or lp_pow_sum when exactness matters.
+non-integer p, and the distance between normalized chains, are floating
+point, with coefficients converted at the last step; use norm_1 or
+lp_pow_sum when exactness matters.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from fractions import Fraction
 from .groups import GroupSpec, Word
 
 Chain = dict[Word, Fraction]
-
-
-def dirac(w: Word) -> Chain:
-    return {w: Fraction(1)}
 
 
 def add(x: Chain, y: Chain) -> Chain:
@@ -41,17 +38,6 @@ def sub(x: Chain, y: Chain) -> Chain:
     return out
 
 
-def scale(r, x: Chain) -> Chain:
-    r = Fraction(r)
-    if not r:
-        return {}
-    return {w: r * c for w, c in x.items()}
-
-
-def support(x: Chain) -> frozenset[Word]:
-    return frozenset(x)
-
-
 def coefficient_sum(x: Chain) -> Fraction:
     return sum(x.values(), Fraction(0))
 
@@ -73,6 +59,26 @@ def norm_p(x: Chain, p: float) -> float:
     if not x:
         return 0.0
     return sum(abs(float(c)) ** p for c in x.values()) ** (1.0 / p)
+
+
+def normalized_diff_pow(x: Chain, y: Chain, p: float) -> float:
+    """||x/||x||_p - y/||y||_p||_p^p for nonzero chains, in floating point.
+
+    The distance between the normalized chains h = f / ||f||_p; it is
+    translation invariant, so identity-based chains give the value of
+    every translate.
+    """
+    nx = sum(abs(float(c)) ** p for c in x.values()) ** (1.0 / p)
+    ny = sum(abs(float(c)) ** p for c in y.values()) ** (1.0 / p)
+    s = 0.0
+    for w, c in x.items():
+        u = float(c) / nx
+        c2 = y.get(w)
+        s += abs(u) ** p if c2 is None else abs(u - float(c2) / ny) ** p
+    for w, c in y.items():
+        if w not in x:
+            s += abs(float(c) / ny) ** p
+    return s
 
 
 def translate(spec: GroupSpec, g: Word, x: Chain) -> Chain:

@@ -77,33 +77,50 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
+def _fit_and_select(cfg: RunConfig, engine: ChainEngine, radius: int):
+    """Fit the decay on B(e, radius) and select p from it: (selection, fits)."""
+    ball = build_ball(engine.spec, radius, cfg.max_vertices(radius))
+    ups = analysis.estimate_upsilon(ball)
+    rho_of_p, fits = analysis.rho_fitter(engine, ball, max(cfg.samples, 200), cfg.seed)
+    return analysis.select_p(ups, rho_of_p), fits
+
+
 def _resolve_p(cfg: RunConfig, engine: ChainEngine):
     """The exponent to work at, selecting one from fitted decay if 'auto'.
 
-    Returns (p, fit-at-p or None, upsilon or None, selection payload or None).
+    Returns (p, fit-at-p or None, upsilon or None).
     """
     if cfg.p != "auto":
-        return float(cfg.p), None, None, None
-    fit_radius = min(cfg.radius, 8)
-    ball = build_ball(engine.spec, fit_radius, cfg.max_vertices(fit_radius))
-    ups = analysis.estimate_upsilon(ball)
-    rho_of_p, fits = analysis.rho_fitter(engine, ball, max(cfg.samples, 200), cfg.seed)
-    sel = analysis.select_p(ups, rho_of_p)
-    return sel.p, fits[sel.p], ups, sel.to_json()
+        return float(cfg.p), None, None
+    sel, fits = _fit_and_select(cfg, engine, min(cfg.radius, 8))
+    return sel.p, fits[sel.p], sel.upsilon
 
 
-def _cocycle_payload(cfg: RunConfig, engine: ChainEngine, g) -> dict:
+def _norm_setup(cfg: RunConfig, engine: ChainEngine):
+    """What every cocycle norm of one command is evaluated with.
+
+    Returns (p, fit, upsilon, window). Tree families are evaluated exactly
+    and get no window. Elsewhere the window is B(e, radius); at a given p
+    the decay is fitted on that window at that p.
+    """
     spec = engine.spec
-    p, fit, ups, _ = _resolve_p(cfg, engine)
-    coc = Cocycle(engine, p)
+    p, fit, ups = _resolve_p(cfg, engine)
     if spec.is_tree and spec.delta == 1:
-        res = coc.norm(g, mode="exact", audit_samples=min(cfg.samples, 50), seed=cfg.seed)
-    else:
-        window = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
-        if fit is None:
-            fit = analysis.fit_h_decay(engine, window, p, max(cfg.samples, 200), cfg.seed)
-            ups = analysis.estimate_upsilon(window)
-        res = coc.norm(g, mode="window", window_ball=window, fit=fit, upsilon=ups)
+        return p, fit, ups, None
+    window = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
+    if fit is None:
+        rho_of_p, fits = analysis.rho_fitter(engine, window, max(cfg.samples, 200), cfg.seed)
+        rho_of_p(p)
+        fit, ups = fits[p], analysis.estimate_upsilon(window)
+    return p, fit, ups, window
+
+
+def _cocycle_payload(cfg: RunConfig, engine: ChainEngine, g, p, fit, ups, window) -> dict:
+    spec = engine.spec
+    coc = Cocycle(engine, p)
+    # without a window the norm is the exact tree evaluation, audited
+    res = coc.norm(g, window_ball=window, fit=fit, upsilon=ups,
+                   audit_samples=min(cfg.samples, 50), seed=cfg.seed)
     count = coc.properness_count(g)
     d = res.d_g_e
     return {
@@ -160,7 +177,7 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
         "entries": chain_to_entries(spec, f),
     }
     if which == "h":
-        p, _, _, _ = _resolve_p(cfg, engine)
+        p, _, _ = _resolve_p(cfg, engine)
         h = engine.h_chain(a, b, p)
         payload["p"] = p
         payload["norm"] = h.norm
@@ -173,11 +190,7 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
 
 def cmd_select_p(cfg: RunConfig) -> int:
     spec = cfg.make_spec()
-    engine = ChainEngine(spec)
-    ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
-    ups = analysis.estimate_upsilon(ball)
-    rho_of_p, _ = analysis.rho_fitter(engine, ball, max(cfg.samples, 200), cfg.seed)
-    sel = analysis.select_p(ups, rho_of_p)
+    sel, _ = _fit_and_select(cfg, ChainEngine(spec), cfg.radius)
     _emit_json(sel.to_json(), cfg.output)
     return 0
 
@@ -185,7 +198,7 @@ def cmd_select_p(cfg: RunConfig) -> int:
 def cmd_cocycle(cfg: RunConfig, g_text: str) -> int:
     spec = cfg.make_spec()
     engine = ChainEngine(spec)
-    payload = _cocycle_payload(cfg, engine, spec.parse(g_text))
+    payload = _cocycle_payload(cfg, engine, spec.parse(g_text), *_norm_setup(cfg, engine))
     _emit_json(payload, cfg.output)
     return 0 if payload["paper_bound_ok"] else 1
 
@@ -215,8 +228,9 @@ def cmd_report(cfg: RunConfig, g_texts: list[str]) -> int:
         "properness_count", "bound_20delta_ok", "bound_100delta_ok",
     ])
     ok = True
+    setup = _norm_setup(cfg, engine)
     for text in g_texts:
-        row = _cocycle_payload(cfg, engine, spec.parse(text))
+        row = _cocycle_payload(cfg, engine, spec.parse(text), *setup)
         ok = ok and row["paper_bound_ok"]
         writer.writerow([
             row["g"], row["d_g_e"], row["p"], row["lower"], row["tail_bound"],

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import CayleyBall
-from .chains import Chain, translate
+from .chains import Chain, add, normalized_diff_pow, sub, translate
 from .errors import ExactnessError, InvariantViolation, PSelectionError
 from .flowers import ChainEngine, NormalizedChain
-from .groups import GroupSpec, Word
+from .groups import Word
 
 
 @dataclass
@@ -52,11 +52,6 @@ class IdentityReport:
     audited: int
 
 
-def pi_apply(spec: GroupSpec, g: Word, xi: dict[Word, Chain]) -> dict[Word, Chain]:
-    """Apply the linear action to a finitely supported vector of chains."""
-    return {spec.multiply(g, gamma): translate(spec, g, ch) for gamma, ch in xi.items()}
-
-
 class Cocycle:
     """Evaluator for the cocycle of one engine at a fixed exponent p >= 2."""
 
@@ -77,14 +72,7 @@ class Cocycle:
         """The chain b(g)(gamma) = h(gamma, g) - h(gamma, e), dense view."""
         h1 = self.engine.h_chain(gamma, g, self.p).coefficients()
         h2 = self.engine.h_chain(gamma, (), self.p).coefficients()
-        out = dict(h1)
-        for w, c in h2.items():
-            s = out.get(w, 0.0) - c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return out
+        return sub(h1, h2)
 
     def diff_norm_pow(self, g: Word, gamma: Word) -> float:
         """||b(g)(gamma)||_p^p via left-invariance (no translations built)."""
@@ -111,18 +99,7 @@ class Cocycle:
         if len(f1) == 1 == len(f2):
             # singleton convex chains are unit point masses
             return 0.0 if next(iter(f1)) == next(iter(f2)) else 2.0
-        p = self.p
-        n1 = sum(float(c) ** p for c in f1.values()) ** (1.0 / p)
-        n2 = sum(float(c) ** p for c in f2.values()) ** (1.0 / p)
-        s = 0.0
-        for w, c in f1.items():
-            x = float(c) / n1
-            c2 = f2.get(w)
-            s += x ** p if c2 is None else abs(x - float(c2) / n2) ** p
-        for w, c in f2.items():
-            if w not in f1:
-                s += (float(c) / n2) ** p
-        return s
+        return normalized_diff_pow(f1, f2, self.p)
 
     # -- windowed norm ----------------------------------------------------------
 
@@ -171,34 +148,16 @@ class Cocycle:
                 f"rho^p * upsilon = {fit.base ** p * upsilon:.4f} is not below 1/2; "
                 "pick a larger p before evaluating windows"
             )
-        spec = self.spec
-        if spec.family == "explicit-ball":
-            need = ball.radius + len(g) + spec.delta
-            if need > spec.radius:
-                raise ExactnessError(
-                    f"window evaluations reach distance {need} but the explicit "
-                    f"ball only extends to {spec.radius}; shrink the window or d(g, e)"
-                )
+        # the window evaluations reach distance radius + d(e, g) + delta
+        self.engine._require_margin(g, ball.radius + self.spec.delta)
         diff = self._diff_pow
         fe = self.engine._f_basepoint
         lower = 0.0
         nonzero = 0
         values: dict[Word, float] | None = {} if keep_values else None
-        # walk the ball along its BFS tree, maintaining gamma^-1 g and
-        # gamma^-1 incrementally; avoids an inversion and two products per vertex
-        parents = ball.parent_letters
-        inv = spec._inv
-        left = spec._mul_letter_left
-        n = len(ball.words)
-        u1: list[Word] = [g] * n
-        u2: list[Word] = [()] * n
-        for h in range(1, n):
-            par, letter = parents[h]
-            s_inv = inv[letter]
-            u1[h] = left(s_inv, u1[par])
-            u2[h] = left(s_inv, u2[par])
-        for h in range(n):
-            val = diff(u1[h], u2[h], fe)
+        # ||b(g)(gamma)||_p^p = ||h_e(gamma^-1 g) - h_e(gamma^-1)||_p^p by left-invariance
+        for h, (u1, u2) in enumerate(zip(ball.walk(g), ball.walk(()))):
+            val = diff(u1, u2, fe)
             if val:
                 nonzero += 1
                 lower += val
@@ -331,21 +290,13 @@ class Cocycle:
         """Number of admissible geodesic vertices with disjoint supports.
 
         Each one contributes a summand >= 1 to ||pi(g) eta - eta||_p^p, so
-        the count is a properness certificate for g.
+        the count is a properness certificate for g. The admissible
+        vertices are those at positions 10*delta .. d(g, e) - 10*delta of
+        the geodesic q[g, e].
         """
-        spec = self.spec
         ten = self.engine.ten_delta
-        count = 0
-        for gamma in self.engine.q.q_path(g, ()):
-            if len(gamma) < ten:
-                continue
-            if len(spec._mul(spec._inv_word(gamma), g)) < ten:
-                continue
-            f1 = self.engine.f_chain(gamma, g)
-            f2 = self.engine.f_chain(gamma, ())
-            if not (f1.keys() & f2.keys()):
-                count += 1
-        return count
+        path = self.engine.q.q_path(g, ())
+        return sum(self.disjoint_support_check(g, gamma) for gamma in path[ten:len(path) - ten])
 
     # -- the cocycle identity ----------------------------------------------------
 
@@ -370,8 +321,10 @@ class Cocycle:
         with the literal recursion, which re-derives the translated chains
         from scratch.
 
-        ``window`` may be a CayleyBall (walked incrementally along its BFS
-        tree) or any iterable of vertices.
+        ``window`` may be a CayleyBall, whose translates gamma^-1 gk,
+        gamma^-1 g and g^-1 gamma come from three ``CayleyBall.walk`` passes
+        along its BFS tree, or any iterable of vertices, for which each
+        vertex is inverted and multiplied out.
         """
         spec = self.spec
         eng = self.engine
@@ -388,21 +341,10 @@ class Cocycle:
         vertices = 0
 
         if isinstance(window, CayleyBall):
-            gammas = window.words
-            parents = window.parent_letters
-            inv = spec._inv
-            left, right = spec._mul_letter_left, spec._mul_letter_right
-            n = len(gammas)
-            u1s: list[Word] = [gk] * n  # gamma^-1 gk: key of f(gamma, gk) and f(g^-1 gamma, k)
-            u2s: list[Word] = [g] * n   # gamma^-1 g: key of f(gamma, g) and f(g^-1 gamma, e)
-            ms: list[Word] = [ginv] * n  # g^-1 gamma
-            for h in range(1, n):
-                par, letter = parents[h]
-                s_inv = inv[letter]
-                u1s[h] = left(s_inv, u1s[par])
-                u2s[h] = left(s_inv, u2s[par])
-                ms[h] = right(ms[par], letter)
-            items = zip(gammas, u1s, u2s, ms)
+            # gamma^-1 gk keys f(gamma, gk) and f(g^-1 gamma, k); gamma^-1 g
+            # keys f(gamma, g) and f(g^-1 gamma, e)
+            items = zip(window.words, window.walk(gk), window.walk(g),
+                        window.walk(ginv, right=True))
         else:
             items = (
                 (gamma, mul(ig, gk), mul(ig, g), mul(ginv, gamma))
@@ -437,14 +379,8 @@ class Cocycle:
             key1 = tuple(sorted(c1.values()))
             key2 = tuple(sorted(c2.values()))
             groups: dict[tuple, Chain] = {}
-            for sign, chain, key in ((1, f_gk, key1), (-1, t1, key1), (1, t2, key2), (-1, f_g, key2)):
-                acc = groups.setdefault(key, {})
-                for w, c in chain.items():
-                    s = acc.get(w, 0) + (c if sign > 0 else -c)
-                    if s:
-                        acc[w] = s
-                    else:
-                        acc.pop(w, None)
+            for op, chain, key in ((add, f_gk, key1), (sub, t1, key1), (add, t2, key2), (sub, f_g, key2)):
+                groups[key] = op(groups.get(key, {}), chain)
             if any(groups.values()):
                 if len(witnesses) < max_witnesses:
                     witnesses.append(gamma)

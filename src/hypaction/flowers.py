@@ -24,21 +24,6 @@ from .errors import ExactnessError, InvariantViolation
 from .groups import GroupSpec, Word
 
 
-@dataclass(frozen=True)
-class FlowerSet:
-    """The flower at ``center`` with respect to ``viewpoint``; never empty."""
-
-    viewpoint: Word
-    center: Word
-    members: tuple[Word, ...]
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
 @dataclass
 class ChainCache:
     """Memo for identity-based chains, with hit statistics and an audit hook.
@@ -109,7 +94,8 @@ class ChainEngine:
 
     # -- flowers and projections --------------------------------------------
 
-    def flower(self, v: Word, w: Word) -> FlowerSet:
+    def flower(self, v: Word, w: Word) -> tuple[Word, ...]:
+        """Fl(v, w) = S(v, d(v, w)) /\\ B(w, delta) as a sorted tuple; never empty."""
         spec = self.spec
         spec.validate_word(v)
         spec.validate_word(w)
@@ -117,8 +103,7 @@ class ChainEngine:
         mul = spec._mul
         rw = mul(spec._inv_word(v), w)
         d = len(rw)
-        members = sorted(mul(w, u) for u in self._small_ball if len(mul(rw, u)) == d)
-        return FlowerSet(viewpoint=v, center=w, members=tuple(members))
+        return tuple(sorted(mul(w, u) for u in self._small_ball if len(mul(rw, u)) == d))
 
     def _flower_members_from_identity(self, x: Word) -> list[Word]:
         d = len(x)
@@ -272,10 +257,10 @@ class ChainEngine:
 
     def _require_margin(self, base: Word, reach: int) -> None:
         spec = self.spec
-        if spec.family == "explicit-ball" and len(base) + reach > spec.radius:
+        if len(base) + reach > spec.max_word_length:
             raise ExactnessError(
-                f"computation reaches distance {len(base) + reach} but the explicit "
-                f"ball only extends to {spec.radius}"
+                f"computation reaches distance {len(base) + reach} but the spec only "
+                f"represents words up to length {spec.max_word_length}"
             )
 
 

@@ -20,6 +20,7 @@ across threads.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -51,11 +52,13 @@ class Generator:
 class GroupSpec:
     """Base class for the group families. Instances are immutable."""
 
-    family = "abstract"
     is_tree = False
     # set on families whose geodesics are provably unique, in which case the
     # canonical geodesic from e spells out the normal form letter by letter
     unique_geodesics = False
+    # the longest normal form the spec can represent; finite only on
+    # explicit balls, where words end at the boundary of the loaded ball
+    max_word_length: float = math.inf
 
     def __init__(
         self,
@@ -212,7 +215,6 @@ class GroupSpec:
 class FreeGroupSpec(GroupSpec):
     """Free group of finite rank; generators a, A, b, B, ... (uppercase = inverse)."""
 
-    family = "free"
     is_tree = True
     unique_geodesics = True
 
@@ -271,7 +273,6 @@ class FreeProductSpec(GroupSpec):
     number of syllables equals the word metric.
     """
 
-    family = "free-product"
     unique_geodesics = True
 
     def __init__(
@@ -375,12 +376,11 @@ class ExplicitBallSpec(GroupSpec):
     walking edges and are defined only while the walk stays inside the ball.
     """
 
-    family = "explicit-ball"
     is_tree = False
 
     def __init__(self, generators, delta, edge_map, basepoint_idx, n_vertices, radius, name="ball"):
         super().__init__(generators, delta, name)
-        self.radius = int(radius)
+        self.max_word_length = int(radius)
         self._edge = edge_map  # (vertex index, generator index) -> vertex index
         words: list[Word | None] = [None] * n_vertices
         dist: list[int] = [-1] * n_vertices
@@ -400,12 +400,12 @@ class ExplicitBallSpec(GroupSpec):
                     queue.append(nb)
         if any(d < 0 for d in dist):
             raise BallFileRadiusError("some vertices are unreachable from the basepoint")
-        if max(dist) != self.radius:
+        if max(dist) != self.max_word_length:
             raise BallFileRadiusError(
-                f"declared radius {self.radius} but breadth-first search reaches {max(dist)}"
+                f"declared radius {radius} but breadth-first search reaches {max(dist)}"
             )
         for vid in range(n_vertices):
-            if dist[vid] < self.radius:
+            if dist[vid] < self.max_word_length:
                 for gi in range(len(self.generators)):
                     if (vid, gi) not in edge_map:
                         raise BallFileError(

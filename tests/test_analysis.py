@@ -6,7 +6,7 @@ import random
 import pytest
 
 import hypaction as H
-from hypaction.analysis import fit_envelope
+from hypaction.analysis import decay_triples, fit_envelope
 from hypaction.errors import FitError, PSelectionError
 
 
@@ -85,19 +85,36 @@ def test_fit_f_decay_product(z23_engine, z23_ball8):
 
 
 def test_fit_h_decay_trivial_bound(z23_engine, z23_ball8):
+    rho_of_p, fits = H.rho_fitter(z23_engine, z23_ball8, 800, seed=43)
     for p in (2.0, 4.0):
-        fit = H.fit_h_decay(z23_engine, z23_ball8, p, 800, seed=43)
+        rho_of_p(p)
+        fit = fits[p]
         assert fit.base < 1.0
         assert fit.envelope_ok()
         # two unit vectors differ by at most 2 in any lp norm
         assert all(v <= 2.0 + 1e-9 for _, v in fit.samples)
 
 
+def _dense_h_diff_norm(engine, b, a, a2, p):
+    """||h(b,a) - h(b,a')||_p from the dense coefficients of both h chains."""
+    h1 = engine.h_chain(b, a, p).coefficients()
+    h2 = engine.h_chain(b, a2, p).coefficients()
+    support = set(h1) | set(h2)
+    return sum(abs(h1.get(w, 0.0) - h2.get(w, 0.0)) ** p for w in support) ** (1 / p)
+
+
 def test_rho_fitter_consistent(z23_engine, z23_ball8):
     rho_of_p, fits = H.rho_fitter(z23_engine, z23_ball8, 600, seed=44)
     r1 = rho_of_p(4.0)
     assert rho_of_p(4.0) == r1
-    direct = H.fit_h_decay(z23_engine, z23_ball8, 4.0, 600, seed=44)
+    # the same triples' norms, computed densely from h_chain, give the same fit
+    samples = [
+        (float(H.gromov_product(z23_engine.spec, b, a, a2)),
+         _dense_h_diff_norm(z23_engine, b, a, a2, 4.0))
+        for b, a, a2 in decay_triples(z23_ball8, 600, 44)
+    ]
+    direct = fit_envelope(samples)
+    assert fits[4.0].samples == direct.samples
     assert fits[4.0].base == direct.base
     assert fits[4.0].constant == direct.constant
 

@@ -70,11 +70,9 @@ def test_sphere_and_ball(f2, f2_ball6):
     assert got == {x} and complete
     got, complete = H.sphere(f2_ball6, (), 3)
     assert len(got) == 36 and complete
-    around, complete = H.ball_around(f2_ball6, x, 2)
-    assert complete
     pieces = [H.sphere(f2_ball6, x, r)[0] for r in range(3)]
-    assert around == set().union(*pieces)
-    assert sum(len(p) for p in pieces) == len(around)
+    assert all(H.distance(f2, x, w) == r for r, piece in enumerate(pieces) for w in piece)
+    assert [len(p) for p in pieces] == [1, 4, 12]
     _, complete = H.sphere(f2_ball6, f2.parse("a^4"), 3)
     assert not complete  # 4 + 3 exceeds the materialized radius
 
@@ -109,8 +107,18 @@ def test_parent_letters(f2_ball6):
 
 
 def test_adjacency_symmetric(z23, z23_ball6):
-    adj = z23_ball6.adjacency
+    # every Cayley edge inside the ball is matched by its reverse edge
     inv = z23._inv
-    for h, row in enumerate(adj):
-        for gi, nb in row:
-            assert (inv[gi], h) in adj[nb]
+    for w in z23_ball6.words:
+        for gi, nb in z23.neighbors(w):
+            if nb in z23_ball6:
+                assert (inv[gi], w) in set(z23.neighbors(nb))
+
+
+@pytest.mark.parametrize("right", [False, True])
+def test_walk_matches_products(f2, z23, f2_ball6, z23_ball6, right):
+    for spec, ball in ((f2, f2_ball6), (z23, z23_ball6)):
+        for start in (ball.words[0], ball.words[7], ball.words[-1]):
+            expected = [spec.multiply(start, w) if right
+                        else spec.multiply(spec.invert(w), start) for w in ball.words]
+            assert ball.walk(start, right=right) == expected

@@ -156,3 +156,26 @@ def test_runconfig_defaults():
     assert cfg.group == "free:2"
     assert cfg.p == "auto"
     assert cfg.max_vertices(6) > 1000
+
+
+def test_report_selects_p_once(tmp_path, monkeypatch):
+    from hypaction import analysis
+
+    calls = []
+    select_p = analysis.select_p
+
+    def counting_select_p(*args, **kwargs):
+        calls.append(args)
+        return select_p(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "select_p", counting_select_p)
+    code, text = run_cli(
+        ["report", "--group", "free:2", "--powers", "a:3", "--samples", "120", "--seed", "5"],
+        tmp_path,
+        "table.csv",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    assert len(calls) == 1
+    assert len({row[2] for row in rows}) == 1

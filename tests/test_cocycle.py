@@ -1,6 +1,7 @@
 """The displacement cocycle: pointwise values, windows, properness."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -306,15 +307,18 @@ def test_pi_is_isometric(f2, f2_engine, f2_ball6):
             gamma = words[rng.randrange(len(words))]
             xi[gamma] = f2_engine.f_chain(words[rng.randrange(len(words))], gamma)
         g = words[rng.randrange(len(words))]
-        moved = H.pi_apply(f2, g, xi)
+        # (pi(g) xi)(g gamma) = g . xi(gamma)
+        moved = {f2.multiply(g, gamma): H.translate(f2, g, ch) for gamma, ch in xi.items()}
+        assert len(moved) == len(xi)
         before = sum(H.norm_p(c, p) ** p for c in xi.values())
         after = sum(H.norm_p(c, p) ** p for c in moved.values())
         assert after == pytest.approx(before)
 
 
 def test_pi_composition(f2, f2_engine):
-    xi = {f2.parse("a"): H.dirac(f2.parse("b"))}
+    def pi(g, xi):
+        return {f2.multiply(g, gamma): H.translate(f2, g, ch) for gamma, ch in xi.items()}
+
+    xi = {f2.parse("a"): {f2.parse("b"): Fraction(1)}}
     g, k = f2.parse("ab"), f2.parse("B")
-    lhs = H.pi_apply(f2, g, H.pi_apply(f2, k, xi))
-    rhs = H.pi_apply(f2, f2.multiply(g, k), xi)
-    assert lhs == rhs
+    assert pi(g, pi(k, xi)) == pi(f2.multiply(g, k), xi)

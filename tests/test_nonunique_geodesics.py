@@ -14,7 +14,9 @@ import pytest
 
 import hypaction as H
 from hypaction import chains
-from hypaction.errors import ExactnessError
+from hypaction.analysis import decay_triples
+from hypaction.errors import ExactnessError, OutOfWindowError
+from hypaction.suite import _sample, run_suite
 
 STEPS = [1, -1, 2, -2]
 
@@ -74,7 +76,7 @@ def test_delta_one_certifies(line2):
 
 def test_flower_spreads(line2, line2_engine, by_endpoint):
     fl = line2_engine.flower((), by_endpoint[40])
-    assert sorted(endpoint(m) for m in fl.members) == [39, 40]
+    assert sorted(endpoint(m) for m in fl) == [39, 40]
 
 
 def test_f_spreads_mass(line2, line2_engine, by_endpoint):
@@ -183,6 +185,75 @@ def test_windowed_norm_and_fits(line2, line2_engine):
     assert res.lower > 0
     assert res.tail_bound > 0
     assert not res.exact
+
+
+def test_rho_fitter_matches_dense_norms():
+    # spread chains: the fitted samples agree with ||h(b,a) - h(b,a')||_p
+    # computed from the dense h coefficients, up to rounding
+    spec = H.ball_from_json(line2_ball_json(60), delta=1)
+    engine = H.ChainEngine(spec)
+    ball = H.build_ball(spec, 20)
+    rho_of_p, fits = H.rho_fitter(engine, ball, 200, seed=12)
+    for p in (3.0, 4.5):
+        rho_of_p(p)
+        samples = []
+        for b, a, a2 in decay_triples(ball, 200, 12):
+            try:
+                h1 = engine.h_chain(b, a, p).coefficients()
+                h2 = engine.h_chain(b, a2, p).coefficients()
+            except ExactnessError:
+                continue  # beyond the radius-60 ball; the fit skips these too
+            norm = sum(abs(h1.get(w, 0.0) - h2.get(w, 0.0)) ** p for w in set(h1) | set(h2))
+            samples.append((float(H.gromov_product(spec, b, a, a2)), norm ** (1 / p)))
+        assert [x for x, _ in fits[p].samples] == [x for x, _ in samples]
+        assert [v for _, v in fits[p].samples] == pytest.approx(
+            [v for _, v in samples], rel=1e-12, abs=1e-15)
+        assert any(0 < v < 2 ** (1 / p) - 1e-9 for _, v in samples)  # spread differences
+
+
+def test_fits_skip_triples_outside_the_ball():
+    # sampled to radius 8 in a radius-10 ball, a perturbation or a Gromov
+    # product can leave the ball; those triples are dropped one by one
+    # instead of aborting the fit
+    spec = H.ball_from_json(line2_ball_json(10), delta=1)
+    ball = H.build_ball(spec, 8)
+    engine = H.ChainEngine(spec)
+    triples = decay_triples(ball, 300, 1)
+    assert len(triples) < 300  # a perturbation left the ball
+    rho_of_p, fits = H.rho_fitter(engine, ball, 300, seed=1)
+    sel = H.select_p(H.estimate_upsilon(ball), rho_of_p)
+    used = fits[sel.p].n_samples
+    assert 0 < used < len(triples)
+    f_fit = H.fit_f_decay(engine, ball, 300, seed=1)
+    assert f_fit.n_samples == used
+    assert f_fit.base < 1.0 and f_fit.envelope_ok()
+
+
+def test_suite_reports_skips_on_a_small_ball():
+    spec = H.ball_from_json(line2_ball_json(10), delta=1)
+    report = run_suite(spec, radius=8, samples=300)
+    checks = {c["name"]: c for c in report["checks"]}
+    # the decay fit runs on the triples the ball supports instead of being skipped
+    decay = checks["decay-and-p-selection"]
+    assert decay["passed"] and "skipped" not in decay["details"]
+    assert decay["details"]["chosen_p"] >= 2.0
+    assert report["p"] == decay["details"]["chosen_p"]
+    # chain pairs the ball cannot support are counted, not hidden
+    details = checks["chain-convexity-support"]["details"]
+    assert details["pairs"] == 300
+    assert details["skipped"] > 0
+    ball = H.build_ball(spec, 8)
+    rng = random.Random(0 * 13 + 4)
+    pairs = list(zip(_sample(rng, ball.words, 300), _sample(rng, ball.words, 300)))
+    engine = H.ChainEngine(spec)
+    evaluated = 0
+    for b, a in pairs:
+        try:
+            engine.f_chain(b, a, store=False)
+        except (ExactnessError, OutOfWindowError):
+            continue
+        evaluated += 1
+    assert evaluated + details["skipped"] == 300
 
 
 def test_windowed_norm_margin_refusal(line2, line2_engine, by_endpoint):
