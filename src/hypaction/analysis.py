@@ -65,6 +65,8 @@ def fit_envelope(samples, cap_factor: float = 32.0) -> DecayFit:
     the constant bounded while reporting the fastest decay the data
     supports. Data that is flat up to a cutoff and zero beyond it (the tree
     case) then yields a base strictly below 1 with a moderate constant.
+    The grid scan runs over the distinct positive samples, so order and
+    repeats do not change the fit; ``n_samples`` and ``n_positive`` count all.
     """
     pts = [(float(x), float(v)) for x, v in samples]
     if len({x for x, _ in pts}) < 2:
@@ -75,18 +77,18 @@ def fit_envelope(samples, cap_factor: float = 32.0) -> DecayFit:
             constant=0.0, base=0.5, cap_factor=cap_factor,
             n_samples=len(pts), n_positive=0, samples=pts,
         )
-    vmax = max(v for _, v in positive)
-    cap = cap_factor * vmax
+    distinct = sorted(set(positive))  # repeats cannot change a maximum
+    cap = cap_factor * max(v for _, v in distinct)
     chosen = None
     for lam in _LAMBDA_GRID:
-        c = max(v * lam ** (-x) for x, v in positive)
+        c = max(v * lam ** (-x) for x, v in distinct)
         if c <= cap:
             chosen = (lam, c)
             break
     if chosen is None:
         # fall back to the loosest grid base; the envelope stays valid
         lam = _LAMBDA_GRID[-1]
-        chosen = (lam, max(v * lam ** (-x) for x, v in positive))
+        chosen = (lam, max(v * lam ** (-x) for x, v in distinct))
     base, constant = chosen[0], chosen[1] * (1.0 + 1e-9)
     if base >= 1.0:
         raise FitError("no decay base below 1 dominates the samples")
@@ -177,7 +179,9 @@ def rho_fitter(
     ||h(b,a) - h(b,a')||_p against (a|a')_b at each requested p (the decay
     base may depend on p) and records the DecayFit.
     """
-    triples = _supported_triples(engine, ball, sample_count, seed)
+    # normalized_diff_pow reads coefficients through float(): convert once, not per p
+    triples = [(x, {w: float(c) for w, c in f1.items()}, {w: float(c) for w, c in f2.items()})
+               for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed)]
     fits: dict[float, DecayFit] = {}
 
     def rho_of_p(p: float) -> float:

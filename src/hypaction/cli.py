@@ -215,7 +215,8 @@ def cmd_verify(cfg: RunConfig, exhaustive_radius: int) -> int:
         max_vertices=cfg.max_vertices(cfg.radius),
     )
     _emit_json(report, cfg.output)
-    return 0 if report["passed"] else 1
+    failed = any(not (c["passed"] or c["inconclusive"]) for c in report["checks"])
+    return 0 if report["passed"] else 1 if failed else 3
 
 
 def cmd_report(cfg: RunConfig, g_texts: list[str]) -> int:

@@ -177,47 +177,34 @@ class Cocycle:
         )
 
     def _exact_tree_norm(self, g, audit_samples=0, seed=0) -> CocycleResult:
-        """Enumerate the geodesic-neighborhood window of a tree family.
+        """Count the geodesic-neighborhood window of a tree family in closed form.
 
         Every vertex gamma in the window hangs off a unique axis vertex of
         the geodesic e -> g at some depth t <= 10*delta; the two chains
         h(gamma, g) and h(gamma, e) are unit point masses whose supports
         differ exactly when t <= 10*delta - 1, each such gamma contributing
-        2 to the p-th power sum. Audited against the generic evaluation.
+        2 to the p-th power sum. With n generators, the k + 1 axis vertices
+        of a reduced g of length k leave B = (k + 1) n - 2k first letters
+        (each axis edge uses one letter at both ends), and off the axis every
+        vertex has n - 1 children, so depth t >= 1 holds B (n - 1)^(t - 1)
+        vertices. Sampled window vertices are audited against the generic
+        evaluation.
         """
-        spec = self.spec
-        ten = self.engine.ten_delta
-        cut = ten - 1
         if not g:
             return CocycleResult(
                 g=g, d_g_e=0, p=self.p, lower=0.0, tail_bound=0.0,
                 exact=True, window_size=1, nonzero_count=0,
             )
-        n_gens = len(spec.generators)
-        inv = spec._inv
-        succ = [tuple(x for x in range(n_gens) if x != inv[y]) for y in range(n_gens)]
+        n_gens = len(self.spec.generators)
+        ten = self.engine.ten_delta
         k = len(g)
-        window = 0
-        nonzero = 0
-        for i in range(k + 1):
-            first = [
-                x for x in range(n_gens)
-                if not (i > 0 and x == inv[g[i - 1]]) and not (i < k and x == g[i])
-            ]
-            window += 1
-            nonzero += 1  # gamma = axis vertex itself, depth 0
-            stack = [(x, 1) for x in first]
-            pop = stack.pop
-            push = stack.append
-            while stack:
-                x, dpt = pop()
-                window += 1
-                if dpt <= cut:
-                    nonzero += 1
-                if dpt < ten:
-                    d1 = dpt + 1
-                    for nx in succ[x]:
-                        push((nx, d1))
+        window = nonzero = k + 1  # the axis vertices, depth 0
+        layer = (k + 1) * n_gens - 2 * k
+        for depth in range(1, ten + 1):
+            window += layer
+            if depth < ten:
+                nonzero += layer
+            layer *= n_gens - 1
         if audit_samples:
             self._audit_exact(g, audit_samples, seed)
         return CocycleResult(

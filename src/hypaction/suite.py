@@ -2,14 +2,16 @@
 
 Each check re-derives one family of invariants at a configurable scale and
 reports pass/fail with a small detail payload; the first witness of any
-violation is serialized. All randomness flows from the single seed, so a
-fixed configuration reproduces byte-identical reports.
+violation is serialized, and a sampled check that could evaluate none of
+its cases is inconclusive rather than passed. All randomness flows from
+the single seed, so a fixed configuration reproduces byte-identical reports.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import analysis, chains
@@ -25,9 +27,33 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    inconclusive: bool = False
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        return asdict(self)
+
+
+def _sampled_check(name: str, cases, witness_of, details: dict | None = None) -> CheckResult:
+    """Evaluate ``witness_of(*case)`` over the cases up to the first witness.
+
+    A case the window cannot support raises and is skipped, counted by its
+    error type. The check passes when some case was evaluated and none gave
+    a witness; with no case evaluated it is inconclusive, not passed.
+    """
+    details = {} if details is None else details
+    evaluated, skipped, witness = 0, Counter(), None
+    for case in cases:
+        try:
+            witness = witness_of(*case)
+        except (ExactnessError, OutOfWindowError) as exc:
+            skipped[type(exc).__name__] += 1
+            continue
+        evaluated += 1
+        if witness is not None:
+            break
+    details.update(evaluated=evaluated, skipped=dict(skipped), witness=witness)
+    return CheckResult(name, witness is None and evaluated > 0, details,
+                       inconclusive=evaluated == 0)
 
 
 def _sample(rng: random.Random, pool, n: int):
@@ -85,21 +111,18 @@ def run_suite(
     # 3. bicombing: geodesy and equivariance
     rng = random.Random(seed * 13 + 3)
     q = engine.q
-    bic_fail = None
-    for _ in range(samples):
-        a, b, g = (words[rng.randrange(len(words))] for _ in range(3))
-        try:
-            path = q.q_path(a, b)
-            if path[0] != a or path[-1] != b or len(path) != distance(spec, a, b) + 1:
-                bic_fail = {"kind": "geodesy", "a": spec.label_word(a), "b": spec.label_word(b)}
-                break
-            moved = tuple(spec.multiply(g, w) for w in path)
-            if q.q_path(spec.multiply(g, a), spec.multiply(g, b)) != moved:
-                bic_fail = {"kind": "equivariance", "g": spec.label_word(g)}
-                break
-        except OutOfWindowError:
-            continue
-    checks.append(CheckResult("bicombing", bic_fail is None, {"witness": bic_fail}))
+
+    def bicombing_witness(a, b, g):
+        path = q.q_path(a, b)
+        if path[0] != a or path[-1] != b or len(path) != distance(spec, a, b) + 1:
+            return {"kind": "geodesy", "a": spec.label_word(a), "b": spec.label_word(b)}
+        moved = tuple(spec.multiply(g, w) for w in path)
+        if q.q_path(spec.multiply(g, a), spec.multiply(g, b)) != moved:
+            return {"kind": "equivariance", "g": spec.label_word(g)}
+        return None
+
+    triples = (_sample(rng, words, 3) for _ in range(samples))
+    checks.append(_sampled_check("bicombing", triples, bicombing_witness))
 
     # 4. chains: convex combination, base case, support containment
     rng = random.Random(seed * 13 + 4)
@@ -133,35 +156,30 @@ def run_suite(
 
     # 5. chain equivariance against the literal recursion
     rng = random.Random(seed * 13 + 5)
-    eq_fail = None
     n_eq = max(10, samples // 10)
-    for _ in range(n_eq):
-        g, b, a = (words[rng.randrange(len(words))] for _ in range(3))
-        try:
-            lhs = engine.f_chain_literal(spec.multiply(g, b), spec.multiply(g, a))
-            rhs = chains.translate(spec, g, engine.f_chain_literal(b, a))
-        except (ExactnessError, OutOfWindowError):
-            continue
-        if lhs != rhs:
-            eq_fail = {"g": spec.label_word(g), "b": spec.label_word(b), "a": spec.label_word(a)}
-            break
-    checks.append(CheckResult("chain-equivariance", eq_fail is None,
-                              {"triples": n_eq, "witness": eq_fail}))
+
+    def equivariance_witness(g, b, a):
+        lhs = engine.f_chain_literal(spec.multiply(g, b), spec.multiply(g, a))
+        if lhs != chains.translate(spec, g, engine.f_chain_literal(b, a)):
+            return {"g": spec.label_word(g), "b": spec.label_word(b), "a": spec.label_word(a)}
+        return None
+
+    triples = (_sample(rng, words, 3) for _ in range(n_eq))
+    checks.append(_sampled_check("chain-equivariance", triples, equivariance_witness,
+                                 {"triples": n_eq}))
 
     # 6. unit normalization of h
     rng = random.Random(seed * 13 + 6)
     p_probe = 2.0 if p == "auto" else float(p)
-    h_fail = None
-    for _ in range(max(10, samples // 10)):
-        b, a = (words[rng.randrange(len(words))] for _ in range(2))
-        try:
-            h = engine.h_chain(b, a, p_probe)
-        except (ExactnessError, OutOfWindowError):
-            continue
+
+    def normalization_witness(b, a):
+        h = engine.h_chain(b, a, p_probe)
         if abs(chains.norm_p(h.coefficients(), p_probe) - 1.0) > 1e-9:
-            h_fail = {"b": spec.label_word(b), "a": spec.label_word(a)}
-            break
-    checks.append(CheckResult("h-normalization", h_fail is None, {"witness": h_fail}))
+            return {"b": spec.label_word(b), "a": spec.label_word(a)}
+        return None
+
+    pairs = (_sample(rng, words, 2) for _ in range(max(10, samples // 10)))
+    checks.append(_sampled_check("h-normalization", pairs, normalization_witness))
 
     # 7. decay fits and exponent selection
     selection = None
@@ -201,54 +219,38 @@ def run_suite(
     coc = Cocycle(engine, p_run)
     rng = random.Random(seed * 13 + 8)
     window = build_ball(spec, min(4, radius))
-    id_fail = None
-    audited = 0
-    for _ in range(5):
-        g, k = (words[rng.randrange(len(words))] for _ in range(2))
-        try:
-            rep = coc.verify_identity(g, k, window, audit_fraction=0.05,
-                                      seed=seed * 13 + 8)
-        except (ExactnessError, OutOfWindowError):
-            continue
-        audited += rep.audited
+    id_details = {"window": len(window), "audited": 0}
+
+    def identity_witness(g, k):
+        rep = coc.verify_identity(g, k, window, audit_fraction=0.05, seed=seed * 13 + 8)
+        id_details["audited"] += rep.audited
         if not rep.residual_zero:
-            id_fail = {
-                "g": spec.label_word(g),
-                "k": spec.label_word(k),
-                "gamma": spec.label_word(rep.witnesses[0]),
-            }
-            break
-    checks.append(CheckResult("cocycle-identity", id_fail is None,
-                              {"window": len(window), "audited": audited, "witness": id_fail}))
+            return {"g": spec.label_word(g), "k": spec.label_word(k),
+                    "gamma": spec.label_word(rep.witnesses[0])}
+        return None
+
+    pairs = (_sample(rng, words, 2) for _ in range(5))
+    checks.append(_sampled_check("cocycle-identity", pairs, identity_witness, id_details))
 
     # 9. disjoint supports and properness counts on deep elements
     rng = random.Random(seed * 13 + 9)
     ten = engine.ten_delta
-    prop_fail = None
-    tested = 0
-    for _ in range(10):
-        target = rng.randint(2 * ten, 2 * ten + 6)
-        g = _random_deep_word(spec, rng, target)
-        if g is None:
-            continue
-        try:
-            count = coc.properness_count(g)
-        except (ExactnessError, OutOfWindowError):
-            continue
-        tested += 1
+
+    def properness_witness(length):
+        g = _random_deep_word(spec, rng, length)
+        count = coc.properness_count(g)
         d = len(g)
         if count < d - 2 * ten - 1 or count < d - 100 * spec.delta:
-            prop_fail = {"g": spec.label_word(g), "count": count}
-            break
+            return {"g": spec.label_word(g), "count": count}
         if spec.is_tree and spec.delta == 1:
             res = coc.norm(g, audit_samples=10, seed=seed * 13 + 9)
             if res.lower < 2 * (d - 2 * ten - 1):
-                prop_fail = {"g": spec.label_word(g), "lower": res.lower}
-                break
-    checks.append(CheckResult("properness", prop_fail is None,
-                              {"tested": tested, "witness": prop_fail}))
+                return {"g": spec.label_word(g), "lower": res.lower}
+        return None
 
-    passed = all(c.passed for c in checks)
+    lengths = ((rng.randint(2 * ten, 2 * ten + 6),) for _ in range(10))
+    checks.append(_sampled_check("properness", lengths, properness_witness))
+
     return {
         "group": spec.name,
         "radius": radius,
@@ -256,24 +258,25 @@ def run_suite(
         "p": p_run,
         "seed": seed,
         "samples": samples,
-        "passed": passed,
+        "passed": all(c.passed for c in checks),
+        "inconclusive": [c.name for c in checks if c.inconclusive],
         "checks": [c.to_json() for c in checks],
     }
 
 
 def _random_deep_word(spec: GroupSpec, rng: random.Random, length: int):
-    """A random normal form of the requested length, or None if the spec
-    cannot reach it (explicit balls with a small radius).
+    """A random normal form of the requested length; OutOfWindowError if the
+    spec cannot reach it (explicit balls with a small radius).
 
     Walks distance-increasing edges, since local reducedness does not imply
     geodesy on arbitrary graphs; the endpoint's word is canonical.
     """
     if spec.max_word_length < length:
-        return None
+        raise OutOfWindowError(f"no word of length {length} within the window")
     cur: tuple = ()
     for _ in range(length):
         ups = [nb for _, nb in spec.neighbors(cur) if len(nb) == len(cur) + 1]
         if not ups:
-            return None
+            raise OutOfWindowError(f"the walk to length {length} met a dead end")
         cur = ups[rng.randrange(len(ups))]
     return cur

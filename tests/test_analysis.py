@@ -69,6 +69,31 @@ def test_envelope_genuine_decay():
     assert all(v <= fit.bound_at(x) for x, v in samples)
 
 
+def _fit_key(fit):
+    return fit.constant, fit.base, fit.n_samples, fit.n_positive
+
+
+@pytest.mark.parametrize("spec_name", ["f2", "z23"])
+def test_envelope_ignores_order_and_repeats(spec_name, request):
+    engine = request.getfixturevalue(f"{spec_name}_engine")
+    ball = H.build_ball(engine.spec, 6)
+    rho_of_p, fits = H.rho_fitter(engine, ball, 300, seed=8)
+    rho_of_p(4.0)
+    samples = fits[4.0].samples
+    assert len(set(samples)) < len(samples)  # the sampled values repeat
+    copy = samples * 2
+    random.Random(9).shuffle(copy)
+    once, twice = fit_envelope(samples), fit_envelope(copy)
+    assert _fit_key(twice) == (once.constant, once.base, 2 * once.n_samples, 2 * once.n_positive)
+    # against the scan over every positive sample, in the given order
+    positive = [(x, v) for x, v in copy if v > 0]
+    cap = 32.0 * max(v for _, v in positive)
+    base = next(lam for lam in (i / 200.0 for i in range(1, 200))
+                if max(v * lam ** (-x) for x, v in positive) <= cap)
+    constant = max(v * base ** (-x) for x, v in positive) * (1.0 + 1e-9)
+    assert _fit_key(twice) == (constant, base, len(copy), len(positive))
+
+
 def test_fit_f_decay_free(f2_engine, f2_ball6):
     fit = H.fit_f_decay(f2_engine, f2_ball6, 1500, seed=41)
     assert fit.base < 1.0

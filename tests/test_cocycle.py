@@ -118,6 +118,82 @@ def test_exact_norm_infinite_dihedral():
     assert res.nonzero_count == (12 + 1) + 2 * 9
 
 
+def _dfs_window_counts(spec, g, ten):
+    """(window size, nonzero count) of the exact tree window, by walking it.
+
+    Every vertex within depth ten of an axis vertex of e -> g is visited
+    once; those of depth at most ten - 1 are the nonzero ones.
+    """
+    n_gens = len(spec.generators)
+    inv = spec._inv
+    succ = [tuple(x for x in range(n_gens) if x != inv[y]) for y in range(n_gens)]
+    k = len(g)
+    window = nonzero = 0
+    for i in range(k + 1):
+        window += 1
+        nonzero += 1  # the axis vertex itself, depth 0
+        stack = [
+            (x, 1) for x in range(n_gens)
+            if not (i > 0 and x == inv[g[i - 1]]) and not (i < k and x == g[i])
+        ]
+        while stack:
+            x, depth = stack.pop()
+            window += 1
+            if depth < ten:
+                nonzero += 1
+                stack.extend((nx, depth + 1) for nx in succ[x])
+    return window, nonzero
+
+
+def _reduced_word(spec, length, rng=None):
+    """A word of the given length that is geodesic letter by letter: the
+    first extending letter each time without ``rng`` (a^k on free groups),
+    a random one with it."""
+    word = ()
+    for _ in range(length):
+        options = [x for x in range(len(spec.generators))
+                   if len(spec._mul(word, (x,))) == len(word) + 1]
+        word = spec._mul(word, (options[0] if rng is None else rng.choice(options),))
+    return word
+
+
+@pytest.mark.parametrize("family", ["free:1", "free:2", "zm:2,2", "zm:2,2,2"])
+def test_exact_norm_counts_match_the_walk(family):
+    spec = H.spec_from_descriptor(family)
+    coc = H.Cocycle(H.ChainEngine(spec), 2.0)
+    rng = random.Random(family)
+    words = [_reduced_word(spec, k) for k in (1, 2, 5)]
+    words += [_reduced_word(spec, rng.randint(1, 8), rng) for _ in range(20)]
+    for g in words:
+        window, nonzero = _dfs_window_counts(spec, g, coc.engine.ten_delta)
+        res = coc.norm(g)
+        assert res.exact and res.d_g_e == len(g)
+        assert (res.window_size, res.nonzero_count) == (window, nonzero)
+        assert res.lower == 2.0 * nonzero
+
+
+def test_exact_norm_counts_free_rank_three():
+    # rank r: an endpoint axis vertex has 2r - 1 branches, an interior one
+    # 2r - 2, and a branch holds sum_{j < depth} (2r - 1)^j vertices up to depth
+    r = 3
+    spec = H.FreeGroupSpec(r)
+    coc = H.Cocycle(H.ChainEngine(spec), 2.0)
+
+    def branch(depth):
+        return sum((2 * r - 1) ** j for j in range(depth))
+
+    rng = random.Random(3)
+    words = [_reduced_word(spec, k) for k in (1, 2, 5)]
+    words += [_reduced_word(spec, rng.randint(1, 8), rng) for _ in range(20)]
+    for g in words:
+        k = len(g)
+        branches = 2 * (2 * r - 1) + (k - 1) * (2 * r - 2)
+        res = coc.norm(g, audit_samples=5, seed=k)
+        assert res.window_size == (k + 1) + branches * branch(10)
+        assert res.nonzero_count == (k + 1) + branches * branch(9)
+        assert res.lower == 2.0 * res.nonzero_count
+
+
 def test_exact_mode_requires_tree(z23_cocycle, z23):
     with pytest.raises(ExactnessError):
         z23_cocycle.norm(z23.parse("st"), mode="exact")

@@ -14,7 +14,7 @@ import pytest
 
 import hypaction as H
 from hypaction import chains
-from hypaction.analysis import decay_triples
+from hypaction.analysis import _supported_triples, decay_triples, fit_envelope
 from hypaction.errors import ExactnessError, OutOfWindowError
 from hypaction.suite import _sample, run_suite
 
@@ -211,6 +211,23 @@ def test_rho_fitter_matches_dense_norms():
         assert any(0 < v < 2 ** (1 / p) - 1e-9 for _, v in samples)  # spread differences
 
 
+def test_rho_fitter_equals_fits_from_exact_chains():
+    # the fitter converts each chain to floats once; fitting from the
+    # Fraction chains at each p gives equal fits on every grid p up to p*
+    spec = H.ball_from_json(line2_ball_json(60), delta=1)
+    engine = H.ChainEngine(spec)
+    ball = H.build_ball(spec, 20)
+    rho_of_p, fits = H.rho_fitter(engine, ball, 200, seed=12)
+    sel = H.select_p(H.estimate_upsilon(ball), rho_of_p)
+    triples = _supported_triples(engine, ball, 200, 12)
+    assert any(len(f) > 1 for t in triples for f in t[1:])  # spread chains with 1/2 weights
+    assert sorted(fits) == [c["p"] for c in sel.candidates]
+    for p, fit in fits.items():
+        samples = [(x, chains.normalized_diff_pow(f1, f2, p) ** (1.0 / p))
+                   for x, f1, f2 in triples]
+        assert fit == fit_envelope(samples)
+
+
 def test_fits_skip_triples_outside_the_ball():
     # sampled to radius 8 in a radius-10 ball, a perturbation or a Gromov
     # product can leave the ball; those triples are dropped one by one
@@ -229,9 +246,15 @@ def test_fits_skip_triples_outside_the_ball():
     assert f_fit.base < 1.0 and f_fit.envelope_ok()
 
 
-def test_suite_reports_skips_on_a_small_ball():
+@pytest.fixture(scope="module")
+def small_ball_report():
     spec = H.ball_from_json(line2_ball_json(10), delta=1)
-    report = run_suite(spec, radius=8, samples=300)
+    return run_suite(spec, radius=8, samples=300)
+
+
+def test_suite_reports_skips_on_a_small_ball(small_ball_report):
+    spec = H.ball_from_json(line2_ball_json(10), delta=1)
+    report = small_ball_report
     checks = {c["name"]: c for c in report["checks"]}
     # the decay fit runs on the triples the ball supports instead of being skipped
     decay = checks["decay-and-p-selection"]
@@ -254,6 +277,21 @@ def test_suite_reports_skips_on_a_small_ball():
             continue
         evaluated += 1
     assert evaluated + details["skipped"] == 300
+
+
+def test_suite_properness_inconclusive_on_a_small_ball(small_ball_report):
+    # every deep word is longer than the radius-10 ball allows: nothing is
+    # evaluated, so the check neither passes nor fails
+    checks = {c["name"]: c for c in small_ball_report["checks"]}
+    prop = checks["properness"]
+    assert prop["inconclusive"] and not prop["passed"]
+    assert prop["details"]["evaluated"] == 0
+    assert prop["details"]["skipped"] == {"OutOfWindowError": 10}
+    assert small_ball_report["inconclusive"] == ["properness"]
+    assert small_ball_report["passed"] is False
+    identity = checks["cocycle-identity"]
+    assert identity["passed"] and identity["details"]["evaluated"] > 0
+    assert identity["details"]["evaluated"] + sum(identity["details"]["skipped"].values()) == 5
 
 
 def test_windowed_norm_margin_refusal(line2, line2_engine, by_endpoint):
