@@ -178,16 +178,31 @@ def rho_fitter(
     Returns (rho_of_p, fits): the callable fits the envelope of
     ||h(b,a) - h(b,a')||_p against (a|a')_b at each requested p (the decay
     base may depend on p) and records the DecayFit.
+
+    Triples whose chains give ``normalized_diff_pow`` the same float
+    operands in the same order share one evaluation per p; on a tree the
+    chains are unit point masses and all triples reduce to two such pairs.
     """
-    # normalized_diff_pow reads coefficients through float(): convert once, not per p
-    triples = [(x, {w: float(c) for w, c in f1.items()}, {w: float(c) for w, c in f2.items()})
-               for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed)]
+    pairs: dict[tuple, int] = {}  # operand signature -> index into ``chains``
+    chains: list[tuple[dict, dict]] = []
+    keyed: list[tuple[float, int]] = []
+    for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed):
+        # normalized_diff_pow reads coefficients through float(): convert once, not per p
+        g1 = {w: float(c) for w, c in f1.items()}
+        g2 = {w: float(c) for w, c in f2.items()}
+        sig = (tuple(g1.values()), tuple(g2.values()), tuple(g2.get(w) for w in g1),
+               tuple(c for w, c in g2.items() if w not in g1))
+        i = pairs.setdefault(sig, len(chains))
+        if i == len(chains):
+            chains.append((g1, g2))
+        keyed.append((x, i))
     fits: dict[float, DecayFit] = {}
 
     def rho_of_p(p: float) -> float:
         if p in fits:
             return fits[p].base
-        samples = [(x, normalized_diff_pow(f1, f2, p) ** (1.0 / p)) for x, f1, f2 in triples]
+        vals = [normalized_diff_pow(g1, g2, p) ** (1.0 / p) for g1, g2 in chains]
+        samples = [(x, vals[i]) for x, i in keyed]
         fit = fit_envelope(samples, cap_factor)
         fits[p] = fit
         return fit.base

@@ -82,7 +82,8 @@ class Cocycle:
 
     def _diff_pow(self, u: Word, v: Word, fe=None) -> float:
         """||h_e(u) - h_e(v)||_p^p on identity-based chains, evaluated
-        transiently so sweeping millions of keys does not grow any cache."""
+        transiently so sweeping millions of keys grows the chain cache by
+        the shared spread averaging nodes only."""
         if u == v:
             return 0.0
         fpoint = self.engine._f_point_basepoint

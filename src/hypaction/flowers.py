@@ -9,7 +9,10 @@ flower first whenever d(a,b) is itself such a multiple. The result is an
 exact rational convex combination supported on S(a, 10*delta).
 
 All recursion is memoized at the identity: equivariance gives
-f(a, b) = a . f(e, a^-1 b), so the cache key is a^-1 b.
+f(a, b) = a . f(e, a^-1 b), so the cache key is a^-1 b. Averaging nodes
+whose flower spreads mass (at least two members, and an averaged chain with
+at least two support points) are always memoized, also in transient
+evaluations: every key above them shares them, and they are few.
 """
 
 from __future__ import annotations
@@ -136,8 +139,10 @@ class ChainEngine:
     def f_chain(self, a: Word, b: Word, store: bool = True) -> Chain:
         """The convex-combination chain f(a, b), exact rational coefficients.
 
-        ``store=False`` evaluates without growing the cache (reads still hit
-        it); use it for large sweeps over throwaway keys.
+        ``store=False`` keeps the requested key and every point-mass result
+        out of the cache (reads still hit it); use it for large sweeps over
+        throwaway keys. Spread averaging nodes below the key are memoized
+        whatever ``store`` says, since the keys of a sweep share them.
         """
         spec = self.spec
         spec.validate_word(a)
@@ -150,13 +155,14 @@ class ChainEngine:
         mul = spec._mul
         return {mul(a, w): c for w, c in base.items()}
 
-    def _f_basepoint(self, x: Word, store: bool = True) -> Chain:
+    def _f_basepoint(self, x: Word, store: bool = True, requested: bool = True) -> Chain:
         memo = self.cache.memo
         got = memo.get(x)
         if got is not None:
             self.cache.hits += 1
             return got
         self.cache.misses += 1
+        keep = store
         ten = self.ten_delta
         d = len(x)
         if d <= ten:
@@ -166,22 +172,25 @@ class ChainEngine:
             if d % ten:
                 p = self.q.point_from_identity(x, t)
                 assert len(p) == t
-                out = self._f_basepoint(p, store)
+                out = self._f_basepoint(p, store, False)
             else:
                 members = self._flower_members_from_identity(x)
                 if len(members) == 1:
                     # averaging over one member is that member's projection
-                    out = self._f_basepoint(self.q.point_from_identity(members[0], t), store)
+                    out = self._f_basepoint(self.q.point_from_identity(members[0], t), store, False)
                 else:
                     share = Fraction(1, len(members))
                     acc: dict[Word, Fraction] = {}
                     for y in members:
                         py = self.q.point_from_identity(y, t)
                         assert len(py) == t
-                        for w, c in self._f_basepoint(py, store).items():
+                        for w, c in self._f_basepoint(py, store, False).items():
                             acc[w] = acc.get(w, 0) + c
                     out = {w: share * c for w, c in acc.items()}
-        if store:
+                    # a node that spreads mass is shared by every key above
+                    # it, so it is kept even in a transient evaluation
+                    keep = keep or (len(out) > 1 and not requested)
+        if keep:
             memo[x] = out
         return out
 

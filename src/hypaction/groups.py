@@ -374,29 +374,29 @@ class ExplicitBallSpec(GroupSpec):
     basepoint (expanding generators in declaration order, so the word is the
     lexicographically least geodesic spelling). Products are computed by
     walking edges and are defined only while the walk stays inside the ball.
+    ``adj[vid][gi]`` is the vertex reached from ``vid`` along generator
+    ``gi``, or None where that edge leaves the ball.
     """
 
     is_tree = False
 
-    def __init__(self, generators, delta, edge_map, basepoint_idx, n_vertices, radius, name="ball"):
+    def __init__(self, generators, delta, adj, basepoint_idx, radius, name="ball"):
         super().__init__(generators, delta, name)
         self.max_word_length = int(radius)
-        self._edge = edge_map  # (vertex index, generator index) -> vertex index
+        self._adj: list[list[int | None]] = adj
+        n_vertices = len(adj)
         words: list[Word | None] = [None] * n_vertices
         dist: list[int] = [-1] * n_vertices
         words[basepoint_idx] = ()
         dist[basepoint_idx] = 0
-        order = [basepoint_idx]
         queue = deque([basepoint_idx])
         while queue:
             vid = queue.popleft()
             w = words[vid]
-            for gi in range(len(self.generators)):
-                nb = edge_map.get((vid, gi))
+            for gi, nb in enumerate(adj[vid]):
                 if nb is not None and dist[nb] < 0:
                     dist[nb] = dist[vid] + 1
                     words[nb] = w + (gi,)
-                    order.append(nb)
                     queue.append(nb)
         if any(d < 0 for d in dist):
             raise BallFileRadiusError("some vertices are unreachable from the basepoint")
@@ -405,12 +405,10 @@ class ExplicitBallSpec(GroupSpec):
                 f"declared radius {radius} but breadth-first search reaches {max(dist)}"
             )
         for vid in range(n_vertices):
-            if dist[vid] < self.max_word_length:
-                for gi in range(len(self.generators)):
-                    if (vid, gi) not in edge_map:
-                        raise BallFileError(
-                            f"interior vertex at distance {dist[vid]} is missing a generator edge"
-                        )
+            if dist[vid] < self.max_word_length and None in adj[vid]:
+                raise BallFileError(
+                    f"interior vertex at distance {dist[vid]} is missing a generator edge"
+                )
         self._vertex_word: list[Word] = words  # type: ignore[assignment]
         self._word_vertex: dict[Word, int] = {w: i for i, w in enumerate(words)}  # type: ignore[arg-type]
 
@@ -423,12 +421,11 @@ class ExplicitBallSpec(GroupSpec):
         raise SpecMismatchError(f"word {u!r} does not belong to {self.name}")
 
     def _walk(self, vid: int, letters: Word) -> int:
-        edge = self._edge
+        adj = self._adj
         for x in letters:
-            nxt = edge.get((vid, x))
-            if nxt is None:
+            vid = adj[vid][x]
+            if vid is None:
                 raise OutOfWindowError("product walks outside the explicit ball")
-            vid = nxt
         return vid
 
     def _mul(self, u: Word, v: Word) -> Word:
@@ -443,9 +440,7 @@ class ExplicitBallSpec(GroupSpec):
         return self._vertex_word[self._walk(self._word_vertex[()], letters)]
 
     def neighbors(self, u: Word):
-        vid = self._word_vertex[u]
-        for gi in range(len(self.generators)):
-            nb = self._edge.get((vid, gi))
+        for gi, nb in enumerate(self._adj[self._word_vertex[u]]):
             if nb is not None:
                 yield gi, self._vertex_word[nb]
 
@@ -505,7 +500,10 @@ def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec
             raise BallFileSymmetryError(
                 f"edge ({vertex_ids[src]}, {gi}, {vertex_ids[dst]}) has no reverse"
             )
-    return ExplicitBallSpec(gens, delta, edge_map, vid_of[basepoint], len(vertex_ids), radius, name)
+    adj: list[list[int | None]] = [[None] * len(gens) for _ in vertex_ids]
+    for (src, gi), dst in edge_map.items():
+        adj[src][gi] = dst
+    return ExplicitBallSpec(gens, delta, adj, vid_of[basepoint], radius, name)
 
 
 def ball_to_json(spec: GroupSpec, radius: int) -> dict:

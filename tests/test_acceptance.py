@@ -169,6 +169,7 @@ def test_criterion_4_tree_closed_form(f2, f2_engine):
              f"{checked} geodesic pairs with 10 <= d <= 30")
 
 
+@pytest.mark.slow
 def test_criterion_5_cocycle_identity(f2, f2_engine, f2_ball6, f2_ball10):
     rng = random.Random(51)
     coc = H.Cocycle(f2_engine, 4.0)

@@ -168,6 +168,22 @@ def test_store_flag_keeps_cache_clean(f2):
     assert len(engine.cache.memo) > 0
 
 
+def test_transient_sweep_keeps_no_point_masses(f2, z23):
+    # free:2 flowers have one member, and zm:2,3 flowers project to one
+    # point, so nothing spreads and a store=False identity sweep through
+    # averaging nodes at d = 20 and 30 leaves the memo empty; free:2 stays
+    # on the point-mass fast path, zm:2,3 evaluates its two-member flowers
+    for spec, g, k, evaluated in ((f2, "a^17 b^15", "B^2 a", False),
+                                  (z23, "s t " * 16, "t^2 s", True)):
+        engine = H.ChainEngine(spec)
+        g, k = spec.parse(g), spec.parse(k)
+        assert len(g) == 32
+        rep = H.Cocycle(engine, 3.0).verify_identity(g, k, H.build_ball(spec, 3))
+        assert rep.residual_zero
+        assert (engine.cache.misses > 0) == evaluated
+        assert engine.cache.memo == {}
+
+
 # ---------------------------------------------------------------- delta = 2
 
 

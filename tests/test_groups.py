@@ -233,6 +233,18 @@ def test_ball_file_round_trip_product(z23, tmp_path):
     assert spec.word_length(spec.multiply(t, t)) == 1
 
 
+def test_ball_file_adjacency_rows_match_native(z23):
+    spec = H.ball_from_json(H.ball_to_json(z23, 5), delta=1)
+    words = H.build_ball(z23, 5).words
+    for u in words:
+        assert list(spec.neighbors(u)) == [
+            (gi, nb) for gi, nb in z23.neighbors(u) if len(nb) <= 5
+        ]
+        for v in words:
+            if len(u) + len(v) <= 5:
+                assert spec._mul(u, v) == z23._mul(u, v)
+
+
 def test_ball_file_out_of_window(f2):
     spec = H.ball_from_json(H.ball_to_json(f2, 2), delta=1)
     deep = spec.parse("ab")

@@ -172,6 +172,31 @@ def test_b_at_spread_difference(line2, line2_engine, by_endpoint):
     assert val == pytest.approx(sum(abs(c) ** 3.0 for c in dense.values()))
 
 
+def test_transient_sweep_memoizes_spread_averaging_nodes():
+    # a store=False identity sweep keeps only the averaging nodes whose
+    # flower spreads mass, which every key above them shares
+    spec = H.ball_from_json(line2_ball_json(60), delta=1)
+    engine = H.ChainEngine(spec)
+    coc = H.Cocycle(engine, 3.0)
+    by_end = {endpoint(w): w for w in H.build_ball(spec, 40).words}
+    window = H.build_ball(spec, 30)
+    for ng, nk in ((17, -9), (-23, 14)):
+        assert coc.verify_identity(by_end[ng], by_end[nk], window).residual_zero
+    memo = engine.cache.memo
+    assert memo
+    ten = engine.ten_delta
+    for key, chain in memo.items():
+        assert len(key) % ten == 0
+        assert len(chain) >= 2
+        assert chain == engine.f_chain_literal((), key)
+    # the requested key stays out even when it is itself a spread node
+    fresh = H.ChainEngine(spec)
+    w80 = by_end[80]
+    assert len(fresh.f_chain((), w80, store=False)) == 2
+    assert w80 not in fresh.cache.memo
+    assert {endpoint(key) for key in fresh.cache.memo} == {39, 40, 59, 60}
+
+
 def test_windowed_norm_and_fits(line2, line2_engine):
     ball8 = H.build_ball(line2, 8)
     ups = H.estimate_upsilon(ball8)
