@@ -17,7 +17,6 @@ from .cayley import (
     certify_delta,
     distance,
     gromov_product,
-    sphere,
 )
 from .chains import (
     add,
@@ -77,7 +76,6 @@ __all__ = [
     "rho_fitter",
     "select_p",
     "spec_from_descriptor",
-    "sphere",
     "sub",
     "tail_bound",
     "translate",

@@ -18,6 +18,13 @@ from .errors import ExactnessError, FitError, OutOfWindowError, PSelectionError
 from .flowers import ChainEngine
 
 _LAMBDA_GRID = [i / 200.0 for i in range(1, 200)]
+# an envelope constant may exceed the largest sample by at most this factor
+_CAP_FACTOR = 32.0
+# candidate exponents p = 2.0, 2.1, ..., 64.0
+_P_GRID = [round(2.0 + i * 0.1, 10) for i in range(621)]
+# rho^p * upsilon must fall below this, a safety margin under the 1/2 the
+# summability argument needs, because the decay base is only an estimate
+_P_TARGET = 0.25
 
 
 def estimate_upsilon(ball: CayleyBall) -> float:
@@ -45,7 +52,6 @@ class DecayFit:
 
     constant: float
     base: float
-    cap_factor: float
     n_samples: int
     n_positive: int
     samples: list[tuple[float, float]] = field(default_factory=list)
@@ -53,15 +59,12 @@ class DecayFit:
     def envelope_ok(self) -> bool:
         return all(v <= self.constant * self.base ** x for x, v in self.samples)
 
-    def bound_at(self, x: float) -> float:
-        return self.constant * self.base ** x
 
-
-def fit_envelope(samples, cap_factor: float = 32.0) -> DecayFit:
+def fit_envelope(samples) -> DecayFit:
     """Fit the decay envelope over (gromov product, norm value) samples.
 
     The base is the smallest grid value whose minimal dominating constant
-    stays within ``cap_factor`` times the largest observed value; this keeps
+    stays within ``_CAP_FACTOR`` times the largest observed value; this keeps
     the constant bounded while reporting the fastest decay the data
     supports. Data that is flat up to a cutoff and zero beyond it (the tree
     case) then yields a base strictly below 1 with a moderate constant.
@@ -74,11 +77,10 @@ def fit_envelope(samples, cap_factor: float = 32.0) -> DecayFit:
     positive = [(x, v) for x, v in pts if v > 0]
     if not positive:
         return DecayFit(
-            constant=0.0, base=0.5, cap_factor=cap_factor,
-            n_samples=len(pts), n_positive=0, samples=pts,
+            constant=0.0, base=0.5, n_samples=len(pts), n_positive=0, samples=pts,
         )
     distinct = sorted(set(positive))  # repeats cannot change a maximum
-    cap = cap_factor * max(v for _, v in distinct)
+    cap = _CAP_FACTOR * max(v for _, v in distinct)
     chosen = None
     for lam in _LAMBDA_GRID:
         c = max(v * lam ** (-x) for x, v in distinct)
@@ -93,8 +95,8 @@ def fit_envelope(samples, cap_factor: float = 32.0) -> DecayFit:
     if base >= 1.0:
         raise FitError("no decay base below 1 dominates the samples")
     fit = DecayFit(
-        constant=constant, base=base, cap_factor=cap_factor,
-        n_samples=len(pts), n_positive=len(positive), samples=pts,
+        constant=constant, base=base, n_samples=len(pts), n_positive=len(positive),
+        samples=pts,
     )
     if not fit.envelope_ok():
         raise FitError("envelope fit failed to dominate its own samples")
@@ -144,35 +146,25 @@ def _supported_triples(engine: ChainEngine, ball: CayleyBall, sample_count: int,
     out = []
     for b, a, a2 in decay_triples(ball, sample_count, seed):
         try:
-            out.append((float(gromov_product(spec, b, a, a2)),
-                        engine.f_chain(b, a), engine.f_chain(b, a2)))
+            f1 = engine.f_chain(b, a)
+            # a third of the triples repeat a, and point masses are not memoized
+            f2 = f1 if a2 == a else engine.f_chain(b, a2)
+            out.append((float(gromov_product(spec, b, a, a2)), f1, f2))
         except (ExactnessError, OutOfWindowError):
             continue
     return out
 
 
-def fit_f_decay(
-    engine: ChainEngine,
-    ball: CayleyBall,
-    sample_count: int,
-    seed: int,
-    cap_factor: float = 32.0,
-) -> DecayFit:
+def fit_f_decay(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: int) -> DecayFit:
     """Envelope for ||f(b,a) - f(b,a')||_1 against (a|a')_b."""
     samples = [
         (x, float(norm_1(sub(f1, f2))))
         for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed)
     ]
-    return fit_envelope(samples, cap_factor)
+    return fit_envelope(samples)
 
 
-def rho_fitter(
-    engine: ChainEngine,
-    ball: CayleyBall,
-    sample_count: int,
-    seed: int,
-    cap_factor: float = 32.0,
-):
+def rho_fitter(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: int):
     """A per-p decay fitter reusing one sampled triple set.
 
     Returns (rho_of_p, fits): the callable fits the envelope of
@@ -203,7 +195,7 @@ def rho_fitter(
             return fits[p].base
         vals = [normalized_diff_pow(g1, g2, p) ** (1.0 / p) for g1, g2 in chains]
         samples = [(x, vals[i]) for x, i in keyed]
-        fit = fit_envelope(samples, cap_factor)
+        fit = fit_envelope(samples)
         fits[p] = fit
         return fit.base
 
@@ -229,38 +221,23 @@ class PSelection:
         }
 
 
-def select_p(
-    upsilon: float,
-    rho_of_p,
-    grid_start: float = 2.0,
-    grid_step: float = 0.1,
-    ceiling: float = 64.0,
-    target: float = 0.25,
-) -> PSelection:
-    """Smallest grid exponent p >= 2 with rho(p)^p * upsilon below the target.
-
-    The target defaults to 1/4, a safety margin under the 1/2 the
-    summability argument needs, because the decay base is only an estimate.
-    """
+def select_p(upsilon: float, rho_of_p) -> PSelection:
+    """Smallest grid exponent p >= 2 with rho(p)^p * upsilon below 1/4."""
     if upsilon <= 0:
         raise ValueError("upsilon must be positive")
     candidates: list[dict] = []
-    steps = int(round((ceiling - grid_start) / grid_step)) + 1
-    for i in range(max(steps, 1)):
-        p = round(grid_start + i * grid_step, 10)
-        if p > ceiling + 1e-12:
-            break
+    for p in _P_GRID:
         rho = float(rho_of_p(p))
         q = rho ** p * upsilon
         candidates.append({"p": p, "rho": rho, "rho_p_upsilon": q})
-        if rho < 1.0 and q < target:
+        if rho < 1.0 and q < _P_TARGET:
             sel = PSelection(
                 upsilon=upsilon, p=p, rho_used=rho, margin=0.5 - q, candidates=candidates
             )
             assert sel.rho_used ** sel.p * sel.upsilon < 0.5
             return sel
     raise PSelectionError(
-        f"no exponent p in [{grid_start}, {ceiling}] reaches rho^p * upsilon < {target}; "
+        f"no exponent p in [{_P_GRID[0]}, {_P_GRID[-1]}] reaches rho^p * upsilon < {_P_TARGET}; "
         f"last candidates: {candidates[-3:]}"
     )
 

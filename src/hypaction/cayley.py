@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bicombing import Bicombing
 from .errors import ExactnessError, OutOfWindowError, ResourceBudgetError
 from .groups import GroupSpec, Word
 
@@ -14,8 +15,8 @@ class CayleyBall:
     """The ball B(e, R): vertices in breadth-first order with dense handles.
 
     Immutable after construction; queries are pure. ``words[h]`` is the
-    normal form of vertex handle h, ``dist[h]`` its distance from the
-    identity, and ``layer(r)`` the sphere S(e, r) as a list slice.
+    normal form of vertex handle h and ``dist[h]`` its distance from the
+    identity.
     """
 
     def __init__(self, spec: GroupSpec, radius: int, words, dist, layer_bounds):
@@ -32,12 +33,6 @@ class CayleyBall:
 
     def __contains__(self, w: Word):
         return w in self.index
-
-    def layer(self, r: int) -> list[Word]:
-        if not 0 <= r <= self.radius:
-            return []
-        lo, hi = self._layer_bounds[r], self._layer_bounds[r + 1]
-        return self.words[lo:hi]
 
     def distance(self, a: Word, b: Word) -> int:
         return distance(self.spec, a, b)
@@ -123,28 +118,6 @@ def gromov_product(spec: GroupSpec, a: Word, b: Word, c: Word) -> Fraction:
     return Fraction(dab + dac - dbc, 2)
 
 
-def sphere(ball: CayleyBall, x: Word, r: int) -> tuple[set[Word], bool]:
-    """S(x, r) by translating S(e, r); complete iff provably whole.
-
-    The flag is true when d(e,x) + r <= ball radius, so the materialized ball
-    is known to contain the entire sphere. Callers needing exactness must
-    treat an incomplete result as an error.
-    """
-    spec = ball.spec
-    if r < 0:
-        return set(), True
-    complete = _distance(spec, (), x) + r <= ball.radius
-    members = set()
-    try:
-        for w in ball.layer(r) if r <= ball.radius else ():
-            members.add(spec._mul(x, w))
-    except OutOfWindowError:
-        return members, False
-    if r > ball.radius:
-        complete = False
-    return members, complete
-
-
 @dataclass
 class CertReport:
     """Result of a fineness certification run."""
@@ -180,22 +153,29 @@ def certify_delta(
     samples: int,
     seed: int,
     exhaustive_radius: int | None = None,
-    bicombing=None,
 ) -> CertReport:
     """Check the fine-triangle condition on sampled (and small exhaustive) triples.
 
     For a triple (a, b, c) the points v = q[a,b](t) and w = q[a,c](t) with
     t = 0 .. floor((b|c)_a) must satisfy d(v, w) <= delta. The report carries
     the maximal observed deviation and a maximizing witness triple.
-    """
-    from .bicombing import Bicombing
 
+    The exhaustive sweep over B(e, r)^3 multiplies out words of length up
+    to 3r: d(v, w) walks from v^-1 along the word of w, which stays within
+    (|b| + |c| + d(a,b) + d(a,c)) / 2 <= 3r of the identity, and every
+    other product of the sweep stays within 2r + 1 (3r is attained on Z^2).
+    So r is clamped to the ball and to a third of the longest word of the
+    spec, and the report gives the radius swept.
+    """
     spec = ball.spec
-    q = bicombing if bicombing is not None else Bicombing(spec)
+    q = Bicombing(spec)
     rng = random.Random(seed)
     max_dev = 0
     witness: list[str] = []
     skipped = 0
+    if exhaustive_radius is not None:
+        # max_word_length is infinite on the built-in families
+        exhaustive_radius = int(min(exhaustive_radius, ball.radius, spec.max_word_length / 3))
 
     def check(a: Word, b: Word, c: Word) -> None:
         nonlocal max_dev, witness

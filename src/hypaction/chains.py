@@ -1,10 +1,9 @@
 """Sparse finitely supported 0-chains with exact rational coefficients.
 
 A chain is a plain dict mapping normal-form words to nonzero Fractions.
-Arithmetic is exact; zero coefficients are never stored. The lp norm for
-non-integer p, and the distance between normalized chains, are floating
-point, with coefficients converted at the last step; use norm_1 or
-lp_pow_sum when exactness matters.
+Arithmetic is exact; zero coefficients are never stored. The lp norm and
+the distance between normalized chains are floating point, with
+coefficients converted at the last step; use norm_1 when exactness matters.
 """
 
 from __future__ import annotations
@@ -38,19 +37,17 @@ def sub(x: Chain, y: Chain) -> Chain:
     return out
 
 
+def as_chain(x: Word | Chain) -> Chain:
+    """A word as its unit point mass; a chain as itself."""
+    return x if isinstance(x, dict) else {x: Fraction(1)}
+
+
 def coefficient_sum(x: Chain) -> Fraction:
     return sum(x.values(), Fraction(0))
 
 
 def norm_1(x: Chain) -> Fraction:
     return sum((abs(c) for c in x.values()), Fraction(0))
-
-
-def lp_pow_sum(x: Chain, p: int) -> Fraction:
-    """Exact sum of |c|^p over the support, for integer p >= 1."""
-    if p < 1 or int(p) != p:
-        raise ValueError("lp_pow_sum needs an integer p >= 1")
-    return sum((abs(c) ** int(p) for c in x.values()), Fraction(0))
 
 
 def norm_p(x: Chain, p: float) -> float:
@@ -68,8 +65,8 @@ def normalized_diff_pow(x: Chain, y: Chain, p: float) -> float:
     translation invariant, so identity-based chains give the value of
     every translate.
     """
-    nx = sum(abs(float(c)) ** p for c in x.values()) ** (1.0 / p)
-    ny = sum(abs(float(c)) ** p for c in y.values()) ** (1.0 / p)
+    nx = norm_p(x, p)
+    ny = norm_p(y, p)
     s = 0.0
     for w, c in x.items():
         u = float(c) / nx
@@ -96,13 +93,3 @@ def chain_to_entries(spec: GroupSpec, x: Chain) -> list[list]:
         [spec.label_word(w), c.numerator, c.denominator]
         for w, c in sorted(x.items())
     ]
-
-
-def chain_from_entries(spec: GroupSpec, entries) -> Chain:
-    out: Chain = {}
-    for label, num, den in entries:
-        w = spec.parse(label)
-        c = Fraction(int(num), int(den))
-        if c:
-            out[w] = out.get(w, Fraction(0)) + c
-    return {w: c for w, c in out.items() if c}

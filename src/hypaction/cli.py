@@ -159,8 +159,7 @@ def cmd_ball(cfg: RunConfig) -> int:
 def cmd_certify_delta(cfg: RunConfig, exhaustive_radius: int) -> int:
     spec = cfg.make_spec()
     ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
-    report = certify_delta(ball, spec.delta, cfg.samples, cfg.seed,
-                           exhaustive_radius=min(exhaustive_radius, cfg.radius))
+    report = certify_delta(ball, spec.delta, cfg.samples, cfg.seed, exhaustive_radius)
     _emit_json(report.to_json(), cfg.output)
     return 0 if report.passed else 1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cayley import CayleyBall
-from .chains import Chain, add, normalized_diff_pow, sub, translate
+from .chains import Chain, add, as_chain, normalized_diff_pow, sub, translate
 from .errors import ExactnessError, InvariantViolation, PSelectionError
 from .flowers import ChainEngine, NormalizedChain
 from .groups import Word
@@ -80,27 +80,17 @@ class Cocycle:
         ig = spec._inv_word(gamma)
         return self._diff_pow(spec._mul(ig, g), ig)
 
-    def _diff_pow(self, u: Word, v: Word, fe=None) -> float:
-        """||h_e(u) - h_e(v)||_p^p on identity-based chains, evaluated
-        transiently so sweeping millions of keys grows the chain cache by
-        the shared spread averaging nodes only."""
+    def _diff_pow(self, u: Word, v: Word) -> float:
+        """||h_e(u) - h_e(v)||_p^p on identity-based chains; the memo grows
+        by the spread averaging nodes only, so millions of keys can be swept."""
         if u == v:
             return 0.0
         fpoint = self.engine._f_point_basepoint
-        w1 = fpoint(u)
-        if w1 is not None:
-            w2 = fpoint(v)
-            if w2 is not None:
-                # point masses of unit coefficient
-                return 0.0 if w1 == w2 else 2.0
-        if fe is None:
-            fe = self.engine._f_basepoint
-        f1 = fe(u, False)
-        f2 = fe(v, False)
-        if len(f1) == 1 == len(f2):
-            # singleton convex chains are unit point masses
-            return 0.0 if next(iter(f1)) == next(iter(f2)) else 2.0
-        return normalized_diff_pow(f1, f2, self.p)
+        f1, f2 = fpoint(u), fpoint(v)
+        if isinstance(f1, dict) or isinstance(f2, dict):
+            return normalized_diff_pow(as_chain(f1), as_chain(f2), self.p)
+        # point masses of unit coefficient
+        return 0.0 if f1 == f2 else 2.0
 
     # -- windowed norm ----------------------------------------------------------
 
@@ -152,13 +142,12 @@ class Cocycle:
         # the window evaluations reach distance radius + d(e, g) + delta
         self.engine._require_margin(g, ball.radius + self.spec.delta)
         diff = self._diff_pow
-        fe = self.engine._f_basepoint
         lower = 0.0
         nonzero = 0
         values: dict[Word, float] | None = {} if keep_values else None
         # ||b(g)(gamma)||_p^p = ||h_e(gamma^-1 g) - h_e(gamma^-1)||_p^p by left-invariance
         for h, (u1, u2) in enumerate(zip(ball.walk(g), ball.walk(()))):
-            val = diff(u1, u2, fe)
+            val = diff(u1, u2)
             if val:
                 nonzero += 1
                 lower += val
@@ -321,7 +310,6 @@ class Cocycle:
         mul, inv_word = spec._mul, spec._inv_word
         gk = mul(g, k)
         ginv = inv_word(g)
-        fe = eng._f_basepoint
         rng = random.Random(seed)
         one = Fraction(1)
         witnesses: list[Word] = []
@@ -344,8 +332,8 @@ class Cocycle:
         for gamma, u1, u2, m in items:
             vertices += 1
             w1 = fpoint(u1)
-            w2 = fpoint(u2) if w1 is not None else None
-            if w2 is not None:
+            w2 = fpoint(u2)
+            if not isinstance(w1, dict) and not isinstance(w2, dict):
                 # both chains are unit point masses; compare the four points
                 a1 = mul(gamma, w1)
                 b1 = mul(g, mul(m, w1))
@@ -358,8 +346,8 @@ class Cocycle:
                     audited += 1
                     self._audit_identity(g, k, gk, gamma, m, {w1: one}, {w2: one})
                 continue
-            c1 = fe(u1, False)
-            c2 = fe(u2, False)
+            c1 = as_chain(w1)
+            c2 = as_chain(w2)
             f_gk = {mul(gamma, w): c for w, c in c1.items()}     # b(gk) head
             t1 = {mul(g, mul(m, w)): c for w, c in c1.items()}   # pi(g) b(k) head
             t2 = {mul(g, mul(m, w)): c for w, c in c2.items()}   # pi(g) b(k) tail

@@ -8,78 +8,52 @@ largest multiple of 10*delta strictly below d(a,b)), averaging over the
 flower first whenever d(a,b) is itself such a multiple. The result is an
 exact rational convex combination supported on S(a, 10*delta).
 
-All recursion is memoized at the identity: equivariance gives
-f(a, b) = a . f(e, a^-1 b), so the cache key is a^-1 b. Averaging nodes
-whose flower spreads mass (at least two members, and an averaged chain with
-at least two support points) are always memoized, also in transient
-evaluations: every key above them shares them, and they are few.
+All recursion runs at the identity: equivariance gives
+f(a, b) = a . f(e, a^-1 b). The memo holds exactly the averaging nodes
+whose chain has at least two support points, whoever asks for them: every
+key above such a node shares it. Point masses are never stored, so on the
+built-in families, where every chain is a point mass, the memo stays empty.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bicombing import Bicombing
-from .chains import Chain, lp_pow_sum
-from .errors import ExactnessError, InvariantViolation
+from .chains import Chain, as_chain, norm_p
+from .errors import ExactnessError
 from .groups import GroupSpec, Word
 
 
 @dataclass
 class ChainCache:
-    """Memo for identity-based chains, with hit statistics and an audit hook.
+    """Memo of the spread averaging nodes f(e, x), keyed by x.
 
-    Entries are pure functions of their key, so the cache may be shared
-    across concurrent evaluations; duplicate computation is idempotent.
+    ``hits`` counts memo reads that returned a chain, ``misses`` the
+    averaging steps that were evaluated. Entries are pure functions of their
+    key, so the cache may be shared across evaluations.
     """
 
     memo: dict[Word, Chain] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
 
-    def audit(self, engine: "ChainEngine", fraction: float, seed: int) -> int:
-        """Recompute a random sample of cached chains from scratch.
-
-        Returns the number of audited entries; raises InvariantViolation on
-        any mismatch between the cache and a fresh literal recomputation.
-        """
-        keys = sorted(self.memo)
-        rng = random.Random(seed)
-        n = max(1, int(len(keys) * fraction)) if keys else 0
-        for x in rng.sample(keys, min(n, len(keys))):
-            fresh = engine.f_chain_literal((), x)
-            if fresh != self.memo[x]:
-                raise InvariantViolation(f"cache entry for {x!r} differs from recomputation")
-        return min(n, len(keys))
-
 
 @dataclass(frozen=True)
 class NormalizedChain:
-    """A chain together with its lp normalizer: h = f / ||f||_p.
+    """A chain together with its lp norm: h = f / ||f||_p.
 
-    ``norm_pow`` is the exact rational sum of |c|^p when p is an integer,
-    otherwise a float; ``norm`` is the float p-th root. Keeping f exact and
-    the normalizer alongside lets difference norms be computed without
-    rounding the combinatorial data.
+    Keeping f exact and the norm alongside lets difference norms be computed
+    without rounding the combinatorial data.
     """
 
     f: Chain
     p: float
-    norm_pow: Fraction | float
     norm: float
-
-    @property
-    def support(self) -> frozenset[Word]:
-        return frozenset(self.f)
 
     def coefficients(self) -> dict[Word, float]:
         return {w: float(c) / self.norm for w, c in self.f.items()}
-
-    def norm_key(self) -> tuple:
-        """The sorted multiset of coefficients; equal keys mean equal normalizers."""
-        return tuple(sorted(self.f.values()))
 
 
 class ChainEngine:
@@ -136,87 +110,64 @@ class ChainEngine:
 
     # -- the recursive chain -------------------------------------------------
 
-    def f_chain(self, a: Word, b: Word, store: bool = True) -> Chain:
-        """The convex-combination chain f(a, b), exact rational coefficients.
-
-        ``store=False`` keeps the requested key and every point-mass result
-        out of the cache (reads still hit it); use it for large sweeps over
-        throwaway keys. Spread averaging nodes below the key are memoized
-        whatever ``store`` says, since the keys of a sweep share them.
-        """
+    def f_chain(self, a: Word, b: Word) -> Chain:
+        """The convex-combination chain f(a, b), exact rational coefficients."""
         spec = self.spec
         spec.validate_word(a)
         spec.validate_word(b)
         x = spec._mul(spec._inv_word(a), b)
         self._require_margin(a, len(x) + spec.delta)
-        base = self._f_basepoint(x, store)
+        base = self._f_basepoint(x)
         if not a:
             return dict(base)
         mul = spec._mul
         return {mul(a, w): c for w, c in base.items()}
 
-    def _f_basepoint(self, x: Word, store: bool = True, requested: bool = True) -> Chain:
-        memo = self.cache.memo
-        got = memo.get(x)
-        if got is not None:
-            self.cache.hits += 1
-            return got
-        self.cache.misses += 1
-        keep = store
-        ten = self.ten_delta
-        d = len(x)
-        if d <= ten:
-            out: Chain = {x: Fraction(1)}
-        else:
-            t = ((d - 1) // ten) * ten
-            if d % ten:
-                p = self.q.point_from_identity(x, t)
-                assert len(p) == t
-                out = self._f_basepoint(p, store, False)
-            else:
-                members = self._flower_members_from_identity(x)
-                if len(members) == 1:
-                    # averaging over one member is that member's projection
-                    out = self._f_basepoint(self.q.point_from_identity(members[0], t), store, False)
-                else:
-                    share = Fraction(1, len(members))
-                    acc: dict[Word, Fraction] = {}
-                    for y in members:
-                        py = self.q.point_from_identity(y, t)
-                        assert len(py) == t
-                        for w, c in self._f_basepoint(py, store, False).items():
-                            acc[w] = acc.get(w, 0) + c
-                    out = {w: share * c for w, c in acc.items()}
-                    # a node that spreads mass is shared by every key above
-                    # it, so it is kept even in a transient evaluation
-                    keep = keep or (len(out) > 1 and not requested)
-        if keep:
-            memo[x] = out
-        return out
+    def _f_basepoint(self, x: Word) -> Chain:
+        return as_chain(self._f_point_basepoint(x))
 
-    def _f_point_basepoint(self, x: Word) -> Word | None:
-        """Support of f(e, x) when it is a point mass, else None.
+    def _f_point_basepoint(self, x: Word) -> Word | Chain:
+        """f(e, x) as its support point when it is a point mass, otherwise
+        as the spread chain; sweeps call this and build no point-mass dicts.
 
-        Iterative fast path for the hot loops: follows the recursion while
-        it stays degenerate (single-member flowers), falling back to the
-        full evaluation only when a flower genuinely spreads mass.
+        Follows the recursion while it only retracts: steps that are not
+        multiples of 10*delta, and flowers of one member. A flower of two or
+        more members is averaged, unless the memo already holds its node.
         """
         ten = self.ten_delta
         point = self.q.point_from_identity
-        members_of = self._flower_members_from_identity
+        memo = self.cache.memo
         while True:
             d = len(x)
             if d <= ten:
                 return x
             t = ((d - 1) // ten) * ten
-            if d % ten:
-                x = point(x, t)
-                continue
-            if len(members_of(x)) == 1:
-                x = point(x, t)
-                continue
-            chain = self._f_basepoint(x, False)
-            return next(iter(chain)) if len(chain) == 1 else None
+            if not d % ten:
+                # an empty memo (every chain a point mass) spares hashing x
+                got = memo.get(x) if memo else None
+                if got is not None:
+                    self.cache.hits += 1
+                    return got
+                members = self._flower_members_from_identity(x)
+                if len(members) > 1:
+                    return self._average(x, members, t)
+            x = point(x, t)
+
+    def _average(self, x: Word, members: list[Word], t: int) -> Word | Chain:
+        """The mean of f(e, pr(y)) over the flower members y of x; memoized
+        when it spreads, since every key above x shares it."""
+        self.cache.misses += 1
+        point = self.q.point_from_identity
+        acc: dict[Word, Fraction] = {}
+        for y in members:
+            for w, c in as_chain(self._f_point_basepoint(point(y, t))).items():
+                acc[w] = acc.get(w, 0) + c
+        if len(acc) == 1:
+            return next(iter(acc))
+        share = Fraction(1, len(members))
+        out = {w: share * c for w, c in acc.items()}
+        self.cache.memo[x] = out
+        return out
 
     def f_chain_literal(self, a: Word, b: Word) -> Chain:
         """The same recursion run verbatim at base a, without the identity
@@ -276,10 +227,4 @@ class ChainEngine:
 def normalize(f: Chain, p: float) -> NormalizedChain:
     if not f:
         raise ValueError("cannot normalize the zero chain")
-    if float(p).is_integer():
-        pow_sum: Fraction | float = lp_pow_sum(f, int(p))
-        norm = float(pow_sum) ** (1.0 / p)
-    else:
-        pow_sum = sum(abs(float(c)) ** p for c in f.values())
-        norm = pow_sum ** (1.0 / p)
-    return NormalizedChain(f=f, p=float(p), norm_pow=pow_sum, norm=norm)
+    return NormalizedChain(f=f, p=float(p), norm=norm_p(f, p))

@@ -13,6 +13,7 @@ import pytest
 
 import hypaction as H
 from hypaction.cli import main as cli_main
+from hypaction.suite import _random_deep_word
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -20,18 +21,6 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[{tag}] {name}{suffix}")
     assert ok, f"{name}{suffix}"
-
-
-def _random_reduced_word(spec, rng, length):
-    letters = []
-    n = len(spec.generators)
-    for _ in range(length):
-        options = [x for x in range(n)
-                   if not letters or len(spec._mul((letters[-1],), (x,))) == 2]
-        letters.append(rng.choice(options))
-    word = tuple(letters)
-    spec.validate_word(word)
-    return word
 
 
 # ------------------------------------------------------------------ sweeps
@@ -52,7 +41,7 @@ def _pair_sweep(spec, engine, ball):
         ib = inv_word(b)
         for a in words:
             x = mul(ib, a)
-            base = fe(x, False)
+            base = fe(x)
             f = {mul(b, w): c for w, c in base.items()}
             stats["pairs"] += 1
             if sum(f.values()) != one or any(c <= 0 for c in f.values()):
@@ -150,7 +139,7 @@ def test_criterion_4_tree_closed_form(f2, f2_engine):
     checked = 0
     for _ in range(120):
         d = rng.randint(10, 30)
-        a = _random_reduced_word(f2, rng, rng.randint(0, 6))
+        a = _random_deep_word(f2, rng, rng.randint(0, 6))
         tail = []
         n = len(f2.generators)
         for _ in range(d):
@@ -160,7 +149,7 @@ def test_criterion_4_tree_closed_form(f2, f2_engine):
         b = f2.multiply(a, tuple(tail))
         assert H.distance(f2, a, b) == d
         closed = {q.q_point(a, b, 10): Fraction(1)}
-        if f2_engine.f_chain(a, b, store=False) != closed:
+        if f2_engine.f_chain(a, b) != closed:
             bad += 1
         if f2_engine.f_chain_literal(a, b) != closed:
             bad += 1
@@ -202,7 +191,7 @@ def test_criterion_6_disjoint_supports(f2, f2_engine, z23, z23_engine):
     deep += [f2.parse("ab" * k) for k in range(10, 13)]
     deep += [f2.parse("aB" * k) for k in range(10, 13)]
     rng = random.Random(61)
-    deep += [_random_reduced_word(f2, rng, rng.randint(20, 25)) for _ in range(40)]
+    deep += [_random_deep_word(f2, rng, rng.randint(20, 25)) for _ in range(40)]
     q = f2_engine.q
     ten = f2_engine.ten_delta
     for g in deep:
@@ -216,7 +205,7 @@ def test_criterion_6_disjoint_supports(f2, f2_engine, z23, z23_engine):
     rng = random.Random(62)
     done = 0
     while done < 1000:
-        g = _random_reduced_word(z23, rng, rng.randint(20, 24))
+        g = _random_deep_word(z23, rng, rng.randint(20, 24))
         path = zq.q_path(g, ())
         admissible = [v for v in path
                       if len(v) >= ten and len(z23._mul(z23._inv_word(v), g)) >= ten]
@@ -234,7 +223,7 @@ def test_criterion_7_properness_inequality(f2, f2_engine, f2_selection):
     coc = H.Cocycle(f2_engine, sel.p)
     rng = random.Random(71)
     gs = [f2.parse(f"a^{k}") for k in range(1, 31)]
-    gs += [_random_reduced_word(f2, rng, rng.randint(20, 30)) for _ in range(50)]
+    gs += [_random_deep_word(f2, rng, rng.randint(20, 30)) for _ in range(50)]
     bad = 0
     evaluated = 0
     start = time.time()
@@ -281,7 +270,7 @@ def test_criterion_9_tail_bound_soundness(f2, f2_engine, f2_ball10, f2_selection
     rng = random.Random(91)
     bad = 0
     for _ in range(20):
-        g = _random_reduced_word(f2, rng, rng.randint(1, 6))
+        g = _random_deep_word(f2, rng, rng.randint(1, 6))
         wres = coc.norm(g, mode="window", window_ball=f2_ball10, fit=fit, upsilon=5.0)
         exact = coc.norm(g, mode="exact").lower
         if not (wres.lower <= exact + 1e-9 and exact <= wres.lower + wres.tail_bound):

@@ -64,19 +64,6 @@ def test_gromov_product_bounds(z23, z23_ball6):
     assert H.gromov_product(z23, words[1], b, b) == H.distance(z23, words[1], b)
 
 
-def test_sphere_and_ball(f2, f2_ball6):
-    x = f2.parse("ab")
-    got, complete = H.sphere(f2_ball6, x, 0)
-    assert got == {x} and complete
-    got, complete = H.sphere(f2_ball6, (), 3)
-    assert len(got) == 36 and complete
-    pieces = [H.sphere(f2_ball6, x, r)[0] for r in range(3)]
-    assert all(H.distance(f2, x, w) == r for r, piece in enumerate(pieces) for w in piece)
-    assert [len(p) for p in pieces] == [1, 4, 12]
-    _, complete = H.sphere(f2_ball6, f2.parse("a^4"), 3)
-    assert not complete  # 4 + 3 exceeds the materialized radius
-
-
 def test_certify_delta_free(f2, f2_ball6):
     report = H.certify_delta(f2_ball6, 1, 500, seed=9, exhaustive_radius=2)
     assert report.max_deviation == 0
@@ -95,6 +82,46 @@ def test_certify_delta_product(z23, z23_ball8):
     report = H.certify_delta(z23_ball8, 1, 1000, seed=13, exhaustive_radius=4)
     assert report.max_deviation <= 1
     assert report.passed
+
+
+def _grid_ball_json(radius):
+    """Z^2 with generators +-x, +-y as an explicit ball (the l1 ball)."""
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    verts = [(i, j) for i in range(-radius, radius + 1) for j in range(-radius, radius + 1)
+             if abs(i) + abs(j) <= radius]
+    inside = set(verts)
+    edges = [[f"{i},{j}", gi, f"{i + di},{j + dj}"]
+             for i, j in verts for gi, (di, dj) in enumerate(steps) if (i + di, j + dj) in inside]
+    return {
+        "generators": [{"label": "x", "inverse": 1}, {"label": "X", "inverse": 0},
+                       {"label": "y", "inverse": 3}, {"label": "Y", "inverse": 2}],
+        "basepoint": "0,0",
+        "radius": radius,
+        "vertices": [f"{i},{j}" for i, j in verts],
+        "edges": edges,
+    }
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_exhaustive_sweep_reaches_three_times_its_radius(r):
+    # on Z^2 the fat triangles make the sweep over B(e, r)^3 walk to length
+    # exactly 3r: a ball of radius 3r supports it, one of radius 3r - 1 is
+    # swept at r - 1 instead of failing
+    for radius, swept in ((3 * r, r), (3 * r - 1, r - 1)):
+        spec = H.ball_from_json(_grid_ball_json(radius))
+        walk = spec._walk
+        deepest = [0]
+
+        def tracked(vid, letters):
+            for x in letters:
+                vid = walk(vid, (x,))
+                deepest[0] = max(deepest[0], len(spec._vertex_word[vid]))
+            return vid
+
+        spec._walk = tracked
+        report = H.certify_delta(H.build_ball(spec, r), 1, 0, seed=0, exhaustive_radius=r)
+        assert report.exhaustive_radius == swept
+        assert deepest[0] == 3 * swept
 
 
 def test_parent_letters(f2_ball6):

@@ -106,7 +106,7 @@ def test_convexity_and_support(line2, line2_engine, by_endpoint):
         na = rng.randint(-10, 10)
         b, a = by_endpoint[nb], by_endpoint[na]
         try:
-            f = line2_engine.f_chain(b, a, store=False)
+            f = line2_engine.f_chain(b, a)
         except ExactnessError:
             continue
         pairs += 1
@@ -173,8 +173,8 @@ def test_b_at_spread_difference(line2, line2_engine, by_endpoint):
 
 
 def test_transient_sweep_memoizes_spread_averaging_nodes():
-    # a store=False identity sweep keeps only the averaging nodes whose
-    # flower spreads mass, which every key above them shares
+    # an identity sweep keeps only the averaging nodes whose flower spreads
+    # mass, which every key above them shares
     spec = H.ball_from_json(line2_ball_json(60), delta=1)
     engine = H.ChainEngine(spec)
     coc = H.Cocycle(engine, 3.0)
@@ -189,12 +189,19 @@ def test_transient_sweep_memoizes_spread_averaging_nodes():
         assert len(key) % ten == 0
         assert len(chain) >= 2
         assert chain == engine.f_chain_literal((), key)
-    # the requested key stays out even when it is itself a spread node
-    fresh = H.ChainEngine(spec)
-    w80 = by_end[80]
-    assert len(fresh.f_chain((), w80, store=False)) == 2
-    assert w80 not in fresh.cache.memo
-    assert {endpoint(key) for key in fresh.cache.memo} == {39, 40, 59, 60}
+
+
+def test_memo_holds_the_spread_nodes_of_a_request():
+    # the requested key is memoized like any other node: exactly the
+    # averaging nodes whose chain spreads, whoever asks
+    spec = H.ball_from_json(line2_ball_json(60), delta=1)
+    engine = H.ChainEngine(spec)
+    w80 = {endpoint(w): w for w in H.build_ball(spec, 40).words}[80]
+    assert len(engine.f_chain((), w80)) == 2
+    memo = engine.cache.memo
+    assert {endpoint(key) for key in memo} == {39, 40, 59, 60, 80}
+    for key, chain in memo.items():
+        assert chain == engine.f_chain_literal((), key)
 
 
 def test_windowed_norm_and_fits(line2, line2_engine):
@@ -289,19 +296,36 @@ def test_suite_reports_skips_on_a_small_ball(small_ball_report):
     # chain pairs the ball cannot support are counted, not hidden
     details = checks["chain-convexity-support"]["details"]
     assert details["pairs"] == 300
-    assert details["skipped"] > 0
+    assert details["evaluated"] > 0 and sum(details["skipped"].values()) > 0
+    assert not checks["chain-convexity-support"]["inconclusive"]
     ball = H.build_ball(spec, 8)
     rng = random.Random(0 * 13 + 4)
     pairs = list(zip(_sample(rng, ball.words, 300), _sample(rng, ball.words, 300)))
     engine = H.ChainEngine(spec)
-    evaluated = 0
+    evaluated, skipped = 0, {}
     for b, a in pairs:
         try:
-            engine.f_chain(b, a, store=False)
-        except (ExactnessError, OutOfWindowError):
+            engine.f_chain(b, a)
+        except (ExactnessError, OutOfWindowError) as exc:
+            skipped[type(exc).__name__] = skipped.get(type(exc).__name__, 0) + 1
             continue
         evaluated += 1
-    assert evaluated + details["skipped"] == 300
+    assert (details["evaluated"], details["skipped"]) == (evaluated, skipped)
+    assert evaluated + sum(skipped.values()) == 300
+
+
+def test_suite_chain_check_inconclusive_when_every_pair_is_skipped():
+    # on a radius-4 ball both sampled pairs reach past the ball: the chain
+    # check evaluated nothing, so it must not report a pass
+    spec = H.ball_from_json(line2_ball_json(4), delta=1)
+    report = run_suite(spec, radius=4, samples=2, seed=1, exhaustive_radius=0)
+    check = {c["name"]: c for c in report["checks"]}["chain-convexity-support"]
+    assert check["details"]["pairs"] == 2
+    assert check["details"]["evaluated"] == 0
+    assert sum(check["details"]["skipped"].values()) == 2
+    assert check["inconclusive"] and not check["passed"]
+    assert "chain-convexity-support" in report["inconclusive"]
+    assert report["passed"] is False
 
 
 def test_suite_properness_inconclusive_on_a_small_ball(small_ball_report):
@@ -351,3 +375,22 @@ def test_cli_verify_on_line2(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_cli_verify_on_a_ball_too_small_for_the_exhaustive_sweep(tmp_path, radius):
+    # the default exhaustive fineness sweep (radius 2) multiplies out words
+    # of length 6; a ball of radius 3 or 4 is swept at radius 1 instead
+    import json
+
+    from hypaction.cli import main
+
+    path = tmp_path / "line2.json"
+    path.write_text(json.dumps(line2_ball_json(radius)))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--group", f"ball:{path}", "--radius", str(radius),
+                 "--out", str(out)])
+    report = json.loads(out.read_text())
+    cert = {c["name"]: c for c in report["checks"]}["delta-certificate"]
+    assert cert["passed"] and cert["details"]["exhaustive_radius"] == 1
+    assert code == (0 if report["passed"] else 3)
