@@ -13,6 +13,7 @@ from .bicombing import Bicombing
 from .cayley import (
     CayleyBall,
     CertReport,
+    ball_to_json,
     build_ball,
     certify_delta,
     distance,
@@ -36,7 +37,6 @@ from .groups import (
     GroupSpec,
     Word,
     ball_from_json,
-    ball_to_json,
     load_ball_file,
     spec_from_descriptor,
 )

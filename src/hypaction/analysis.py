@@ -1,10 +1,10 @@
 """Growth and decay estimation: the constants behind the summability argument.
 
-The growth constant upsilon bounds ball sizes by upsilon^r. The difference
-norms of the averaged chains decay exponentially in the Gromov product; the
-decay base and constant are fitted as an upper envelope over samples, and an
-exponent p with (base^p * upsilon) < 1/2 is selected so that the geometric
-tail of the cocycle norm converges with an explicit bound.
+The growth constant upsilon = #B(e, 1) bounds #B(e, r) by upsilon^r. The
+difference norms of the averaged chains decay exponentially in the Gromov
+product; the decay base and constant are fitted as an upper envelope over
+samples, and an exponent p with (base^p * upsilon) < 1/2 is selected so
+that the geometric tail of the cocycle norm converges with an explicit bound.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cayley import CayleyBall, gromov_product
+from .cayley import CayleyBall, build_ball, gromov_product
 from .chains import norm_1, normalized_diff_pow, sub
 from .errors import ExactnessError, FitError, OutOfWindowError, PSelectionError
 from .flowers import ChainEngine
@@ -28,22 +28,14 @@ _P_TARGET = 0.25
 
 
 def estimate_upsilon(ball: CayleyBall) -> float:
-    """Smallest u with #B(e, r) <= u^r over the materialized radii.
+    """#B(e, 1): exactly the least u with #B(e, r) <= u^r for every r >= 1.
 
-    By homogeneity of the Cayley graph the basepoint is representative, so
-    the maximum of #B(e, r)^(1/r) over 1 <= r <= R is a valid growth
-    constant for every materialized ball.
+    A geodesic word of length r + s splits into words of lengths r and s,
+    so B(e, r + s) lies in B(e, r) B(e, s) and #B(e, r) <= #B(e, 1)^r. The
+    graph is homogeneous, so e is representative; ``ball`` gives the spec.
+    An explicit ball of radius 0 does not determine it: OutOfWindowError.
     """
-    if ball.radius < 2:
-        raise ValueError("need a ball of radius at least 2")
-    sizes = ball.layer_sizes()
-    total = 0
-    best = 1.0
-    for r, size in enumerate(sizes):
-        total += size
-        if r >= 1:
-            best = max(best, total ** (1.0 / r))
-    return best
+    return float(len(build_ball(ball.spec, 1)))
 
 
 @dataclass

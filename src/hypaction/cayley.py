@@ -101,6 +101,21 @@ def build_ball(spec: GroupSpec, radius: int, max_vertices: int | None = None) ->
     return CayleyBall(spec, radius, words, dist, layer_bounds)
 
 
+def ball_to_json(spec: GroupSpec, radius: int) -> dict:
+    """Serialize the radius-R ball of a spec to the Cayley-ball file format."""
+    ball = build_ball(spec, radius)
+    ids = {w: spec.label_word(w) for w in ball.words}
+    edges = [[ids[w], gi, ids[nb]]
+             for w in ball.words for gi, nb in spec.neighbors(w) if nb in ids]
+    return {
+        "generators": [{"label": g.label, "inverse": g.inverse} for g in spec.generators],
+        "basepoint": ids[()],
+        "radius": radius,
+        "vertices": [ids[w] for w in ball.words],
+        "edges": edges,
+    }
+
+
 def distance(spec: GroupSpec, a: Word, b: Word) -> int:
     """Word metric d(a, b), computed left-invariantly as |a^-1 b|."""
     return len(spec.multiply(spec.invert(a), b))

@@ -86,33 +86,30 @@ def _fit_and_select(cfg: RunConfig, engine: ChainEngine, radius: int):
 
 
 def _resolve_p(cfg: RunConfig, engine: ChainEngine):
-    """The exponent to work at, selecting one from fitted decay if 'auto'.
-
-    Returns (p, fit-at-p or None, upsilon or None).
-    """
+    """(p, fit at p): p selected from fitted decay if 'auto', else (p, None)."""
     if cfg.p != "auto":
-        return float(cfg.p), None, None
+        return float(cfg.p), None
     sel, fits = _fit_and_select(cfg, engine, min(cfg.radius, 8))
-    return sel.p, fits[sel.p], sel.upsilon
+    return sel.p, fits[sel.p]
 
 
 def _norm_setup(cfg: RunConfig, engine: ChainEngine):
     """What every cocycle norm of one command is evaluated with.
 
-    Returns (p, fit, upsilon, window). Tree families are evaluated exactly
-    and get no window. Elsewhere the window is B(e, radius); at a given p
-    the decay is fitted on that window at that p.
+    Returns (p, fit, upsilon, window). Exact tree families are evaluated
+    exactly and get no window or upsilon. Elsewhere the window is
+    B(e, radius); at a given p the decay is fitted on that window at that p.
     """
     spec = engine.spec
-    p, fit, ups = _resolve_p(cfg, engine)
-    if spec.is_tree and spec.delta == 1:
-        return p, fit, ups, None
+    p, fit = _resolve_p(cfg, engine)
+    if spec.exact_tree:
+        return p, fit, None, None
     window = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
     if fit is None:
         rho_of_p, fits = analysis.rho_fitter(engine, window, max(cfg.samples, 200), cfg.seed)
         rho_of_p(p)
-        fit, ups = fits[p], analysis.estimate_upsilon(window)
-    return p, fit, ups, window
+        fit = fits[p]
+    return p, fit, analysis.estimate_upsilon(window), window
 
 
 def _cocycle_payload(cfg: RunConfig, engine: ChainEngine, g, p, fit, ups, window) -> dict:
@@ -149,7 +146,7 @@ def cmd_ball(cfg: RunConfig) -> int:
             "radius": cfg.radius,
             "vertices": len(ball),
             "layer_sizes": ball.layer_sizes(),
-            "upsilon": analysis.estimate_upsilon(ball) if cfg.radius >= 2 else None,
+            "upsilon": analysis.estimate_upsilon(ball),
         },
         cfg.output,
     )
@@ -176,7 +173,7 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
         "entries": chain_to_entries(spec, f),
     }
     if which == "h":
-        p, _, _ = _resolve_p(cfg, engine)
+        p, _ = _resolve_p(cfg, engine)
         h = engine.h_chain(a, b, p)
         payload["p"] = p
         payload["norm"] = h.norm

@@ -14,11 +14,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import tail_bound
 from .cayley import CayleyBall
 from .chains import Chain, add, as_chain, normalized_diff_pow, sub, translate
 from .errors import ExactnessError, InvariantViolation, PSelectionError
 from .flowers import ChainEngine, NormalizedChain
 from .groups import Word
+
+# an identity check stops recording failing vertices after this many
+_MAX_WITNESSES = 5
 
 
 @dataclass
@@ -27,8 +31,7 @@ class CocycleResult:
 
     ``lower`` is the sum over the window (an exact integer in tree-exact
     mode); ``tail_bound`` certifies the mass that may live outside the
-    window (zero when ``exact``). Per-vertex values, when kept, only store
-    nonzero differences.
+    window (zero when ``exact``).
     """
 
     g: Word
@@ -39,7 +42,6 @@ class CocycleResult:
     exact: bool
     window_size: int
     nonzero_count: int
-    values: dict[Word, float] | None = None
 
 
 @dataclass
@@ -101,25 +103,24 @@ class Cocycle:
         window_ball: CayleyBall | None = None,
         fit=None,
         upsilon: float | None = None,
-        keep_values: bool = False,
         audit_samples: int = 0,
         seed: int = 0,
     ) -> CocycleResult:
         """Evaluate ||pi(g) eta - eta||_p^p over a window.
 
-        In exact mode (tree families with delta = 1, the default when
-        available) the window is the 10*delta-neighborhood of the geodesic
-        from e to g, which provably contains the support, and the value is
-        an exact even integer. Otherwise the window is the supplied ball
-        B(e, R) and the discarded mass is bounded by the geometric tail
-        computed from the fitted decay (``fit``) and growth (``upsilon``).
+        In exact mode (``spec.exact_tree``: tree families with delta = 1,
+        the default when available) the window is the 10*delta-neighborhood
+        of the geodesic from e to g, which provably contains the support,
+        and the value is an exact even integer. Otherwise the window is the
+        supplied ball B(e, R) and the discarded mass is bounded by the
+        geometric tail computed from the fitted decay (``fit``) and growth
+        (``upsilon``).
         """
         self.spec.validate_word(g)
-        tree_ok = self.spec.is_tree and self.spec.delta == 1
         if mode == "auto":
-            mode = "exact" if tree_ok and window_ball is None else "window"
+            mode = "exact" if self.spec.exact_tree and window_ball is None else "window"
         if mode == "exact":
-            if not tree_ok:
+            if not self.spec.exact_tree:
                 raise ExactnessError("exact mode needs a tree family with delta = 1")
             return self._exact_tree_norm(g, audit_samples=audit_samples, seed=seed)
         if mode != "window":
@@ -128,11 +129,9 @@ class Cocycle:
             raise ValueError("windowed mode needs a materialized ball")
         if fit is None or upsilon is None:
             raise ValueError("windowed mode needs a decay fit and a growth constant")
-        return self._windowed_norm(g, window_ball, fit, upsilon, keep_values)
+        return self._windowed_norm(g, window_ball, fit, upsilon)
 
-    def _windowed_norm(self, g, ball, fit, upsilon, keep_values) -> CocycleResult:
-        from .analysis import tail_bound
-
+    def _windowed_norm(self, g, ball, fit, upsilon) -> CocycleResult:
         p = self.p
         if fit.base ** p * upsilon >= 0.5:
             raise PSelectionError(
@@ -144,15 +143,12 @@ class Cocycle:
         diff = self._diff_pow
         lower = 0.0
         nonzero = 0
-        values: dict[Word, float] | None = {} if keep_values else None
         # ||b(g)(gamma)||_p^p = ||h_e(gamma^-1 g) - h_e(gamma^-1)||_p^p by left-invariance
-        for h, (u1, u2) in enumerate(zip(ball.walk(g), ball.walk(()))):
+        for u1, u2 in zip(ball.walk(g), ball.walk(())):
             val = diff(u1, u2)
             if val:
                 nonzero += 1
                 lower += val
-                if values is not None:
-                    values[ball.words[h]] = val
         tail = tail_bound(fit.constant, fit.base, p, upsilon, ball.radius, len(g))
         return CocycleResult(
             g=g,
@@ -163,7 +159,6 @@ class Cocycle:
             exact=False,
             window_size=len(ball),
             nonzero_count=nonzero,
-            values=values,
         )
 
     def _exact_tree_norm(self, g, audit_samples=0, seed=0) -> CocycleResult:
@@ -284,7 +279,6 @@ class Cocycle:
         window,
         audit_fraction: float = 0.0,
         seed: int = 0,
-        max_witnesses: int = 5,
     ) -> IdentityReport:
         """Check b(gk) = pi(g) b(k) + b(g) pointwise over the window.
 
@@ -340,7 +334,7 @@ class Cocycle:
                 a2 = mul(gamma, w2)
                 b2 = mul(g, mul(m, w2))
                 if not ((a1 == b1 and a2 == b2) or (a1 == a2 and b1 == b2)):
-                    if len(witnesses) < max_witnesses:
+                    if len(witnesses) < _MAX_WITNESSES:
                         witnesses.append(gamma)
                 if audit_fraction and rng.random() < audit_fraction:
                     audited += 1
@@ -358,7 +352,7 @@ class Cocycle:
             for op, chain, key in ((add, f_gk, key1), (sub, t1, key1), (add, t2, key2), (sub, f_g, key2)):
                 groups[key] = op(groups.get(key, {}), chain)
             if any(groups.values()):
-                if len(witnesses) < max_witnesses:
+                if len(witnesses) < _MAX_WITNESSES:
                     witnesses.append(gamma)
             if audit_fraction and rng.random() < audit_fraction:
                 audited += 1

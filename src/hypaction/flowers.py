@@ -9,18 +9,22 @@ flower first whenever d(a,b) is itself such a multiple. The result is an
 exact rational convex combination supported on S(a, 10*delta).
 
 All recursion runs at the identity: equivariance gives
-f(a, b) = a . f(e, a^-1 b). The memo holds exactly the averaging nodes
-whose chain has at least two support points, whoever asks for them: every
-key above such a node shares it. Point masses are never stored, so on the
-built-in families, where every chain is a point mass, the memo stays empty.
+f(a, b) = a . f(e, a^-1 b) and Fl(v, w) = v . Fl(e, v^-1 w), so one routine
+lists flower members, and the literal oracle translates what it lists. The
+memo holds exactly the averaging nodes whose chain has at least two support
+points, whoever asks for them: every key above such a node shares it. Point
+masses are never stored, so on the built-in families, where every chain is
+a point mass, the memo stays empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bicombing import Bicombing
+from .cayley import build_ball
 from .chains import Chain, as_chain, norm_p
 from .errors import ExactnessError
 from .groups import GroupSpec, Word
@@ -64,25 +68,29 @@ class ChainEngine:
         self.q = bicombing if bicombing is not None else Bicombing(spec)
         self.ten_delta = 10 * spec.delta
         self.cache = ChainCache()
-        self._small_ball = spec.small_ball_words(spec.delta)
         # for delta = 1 the small ball is the identity plus one letter per
         # generator, so flower members come from single-letter products
         self._sb_letters = list(range(len(spec.generators))) if spec.delta == 1 else None
 
     # -- flowers and projections --------------------------------------------
 
+    @cached_property
+    def _small_ball(self) -> list[Word]:
+        """B(e, delta), built on first use: a flower needs a margin of delta,
+        so on an explicit ball of smaller radius it is never built."""
+        return build_ball(self.spec, self.spec.delta).words
+
     def flower(self, v: Word, w: Word) -> tuple[Word, ...]:
-        """Fl(v, w) = S(v, d(v, w)) /\\ B(w, delta) as a sorted tuple; never empty."""
+        """Fl(v, w) = S(v, d(v, w)) /\\ B(w, delta) = v . Fl(e, v^-1 w), sorted; never empty."""
         spec = self.spec
         spec.validate_word(v)
         spec.validate_word(w)
         self._require_margin(w, spec.delta)
-        mul = spec._mul
-        rw = mul(spec._inv_word(v), w)
-        d = len(rw)
-        return tuple(sorted(mul(w, u) for u in self._small_ball if len(mul(rw, u)) == d))
+        members = self._flower_members_from_identity(spec._mul(spec._inv_word(v), w))
+        return tuple(sorted(spec._mul(v, y) for y in members))
 
     def _flower_members_from_identity(self, x: Word) -> list[Word]:
+        """Fl(e, x): the words x u with u in B(e, delta) and |x u| = |x|."""
         d = len(x)
         if self._sb_letters is not None:
             right = self.spec._mul_letter_right

@@ -52,7 +52,9 @@ class Generator:
 class GroupSpec:
     """Base class for the group families. Instances are immutable."""
 
-    is_tree = False
+    # set on families whose Cayley graph is a tree and delta = 1: every chain
+    # is a point mass and the cocycle norm is counted in closed form
+    exact_tree = False
     # set on families whose geodesics are provably unique, in which case the
     # canonical geodesic from e spells out the normal form letter by letter
     unique_geodesics = False
@@ -81,7 +83,6 @@ class GroupSpec:
         if len(self._by_label) != n:
             raise ValueError("generator labels must be distinct")
         self._labels_desc = sorted(self._by_label, key=len, reverse=True)
-        self._small_balls: dict[int, tuple[Word, ...]] = {}
         if generator_order is None:
             self.generator_order = tuple(range(n))
         else:
@@ -136,25 +137,6 @@ class GroupSpec:
         mul = self._mul
         for i in range(len(self.generators)):
             yield i, mul(u, (i,))
-
-    def small_ball_words(self, r: int) -> tuple[Word, ...]:
-        """All words of the ball of radius r around the identity, BFS order."""
-        cached = self._small_balls.get(r)
-        if cached is not None:
-            return cached
-        seen: dict[Word, int] = {(): 0}
-        queue: deque[Word] = deque([()])
-        while queue:
-            w = queue.popleft()
-            if seen[w] == r:
-                continue
-            for _, nb in self.neighbors(w):
-                if nb not in seen:
-                    seen[nb] = seen[w] + 1
-                    queue.append(nb)
-        out = tuple(seen)
-        self._small_balls[r] = out
-        return out
 
     # -- text --------------------------------------------------------------
 
@@ -215,7 +197,6 @@ class GroupSpec:
 class FreeGroupSpec(GroupSpec):
     """Free group of finite rank; generators a, A, b, B, ... (uppercase = inverse)."""
 
-    is_tree = True
     unique_geodesics = True
 
     def __init__(self, rank: int, delta: int = 1, generator_order: tuple[str, ...] | None = None):
@@ -228,6 +209,7 @@ class FreeGroupSpec(GroupSpec):
             gens.append(Generator(2 * i + 1, up, 2 * i))
         super().__init__(tuple(gens), delta, f"free:{rank}", generator_order)
         self.rank = rank
+        self.exact_tree = self.delta == 1
 
     def _mul(self, u: Word, v: Word) -> Word:
         if not u:
@@ -311,10 +293,8 @@ class FreeProductSpec(GroupSpec):
         self._factor = tuple(factor_of)
         self._power = tuple(power_of)
         self._gen_index = gen_index
-
-    @property
-    def is_tree(self) -> bool:  # type: ignore[override]
-        return all(m == 2 for m in self.orders)
+        # only involutions keep the Cayley graph a tree
+        self.exact_tree = self.delta == 1 and all(m == 2 for m in self.orders)
 
     def _mul(self, u: Word, v: Word) -> Word:
         if not u:
@@ -377,8 +357,6 @@ class ExplicitBallSpec(GroupSpec):
     ``adj[vid][gi]`` is the vertex reached from ``vid`` along generator
     ``gi``, or None where that edge leaves the ball.
     """
-
-    is_tree = False
 
     def __init__(self, generators, delta, adj, basepoint_idx, radius, name="ball"):
         super().__init__(generators, delta, name)
@@ -504,25 +482,6 @@ def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec
     for (src, gi), dst in edge_map.items():
         adj[src][gi] = dst
     return ExplicitBallSpec(gens, delta, adj, vid_of[basepoint], radius, name)
-
-
-def ball_to_json(spec: GroupSpec, radius: int) -> dict:
-    """Serialize the radius-R ball of a spec to the Cayley-ball file format."""
-    words = spec.small_ball_words(radius)
-    in_ball = set(words)
-    ids = {w: spec.label_word(w) for w in words}
-    edges = []
-    for w in words:
-        for gi, nb in spec.neighbors(w):
-            if nb in in_ball:
-                edges.append([ids[w], gi, ids[nb]])
-    return {
-        "generators": [{"label": g.label, "inverse": g.inverse} for g in spec.generators],
-        "basepoint": ids[()],
-        "radius": radius,
-        "vertices": [ids[w] for w in words],
-        "edges": edges,
-    }
 
 
 # -- descriptors -------------------------------------------------------------

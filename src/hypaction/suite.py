@@ -175,8 +175,6 @@ def run_suite(
 
     # 7. decay fits and exponent selection
     selection = None
-    fit_details: dict = {}
-    fit_passed = True
     if samples > 0:
         try:
             f_fit = analysis.fit_f_decay(engine, ball, samples, seed * 13 + 7)
@@ -196,9 +194,6 @@ def run_suite(
                 and f_fit.envelope_ok()
                 and selection.rho_used ** selection.p * ups < 0.5
             )
-        except (ExactnessError, OutOfWindowError) as exc:
-            # the window cannot support the sampled chains; not a violation
-            fit_details = {"skipped": str(exc)}
         except (FitError, PSelectionError) as exc:
             fit_passed = False
             fit_details = {"error": str(exc)}
@@ -234,7 +229,7 @@ def run_suite(
         d = len(g)
         if count < d - 2 * ten - 1 or count < d - 100 * spec.delta:
             return {"g": spec.label_word(g), "count": count}
-        if spec.is_tree and spec.delta == 1:
+        if spec.exact_tree:
             res = coc.norm(g, audit_samples=10, seed=seed * 13 + 9)
             if res.lower < 2 * (d - 2 * ten - 1):
                 return {"g": spec.label_word(g), "lower": res.lower}

@@ -1,6 +1,23 @@
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import hypaction as H
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from the source under its home
+    # directory, ./.hypothesis by default, while tests are collected; it gets a
+    # temporary directory instead, removed when the run ends
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture(scope="session")

@@ -224,22 +224,31 @@ def test_criterion_7_properness_inequality(f2, f2_engine, f2_selection):
     rng = random.Random(71)
     gs = [f2.parse(f"a^{k}") for k in range(1, 31)]
     gs += [_random_deep_word(f2, rng, rng.randint(20, 30)) for _ in range(50)]
+    # the window is counted in closed form; the rate counts the sampled
+    # window vertices that the audits evaluate through the generic path
+    generic = coc.diff_norm_pow
+    audited = 0
+
+    def counted(g, gamma):
+        nonlocal audited
+        audited += 1
+        return generic(g, gamma)
+
+    coc.diff_norm_pow = counted
     bad = 0
-    evaluated = 0
     start = time.time()
     for g in gs:
         res = coc.norm(g, audit_samples=10, seed=rng.randrange(1 << 30))
-        evaluated += res.window_size
         d = res.d_g_e
         lower = int(res.lower)
         if lower != res.lower or lower < 2 * (d - 21) or lower < d - 100:
             bad += 1
     elapsed = time.time() - start
-    rate = evaluated / max(elapsed, 1e-9)
+    rate = audited / max(elapsed, 1e-9)
     _verdict(
         "criterion 7: properness inequality (exact integers)",
         bad == 0 and elapsed < 600 and rate >= 1e4,
-        f"{len(gs)} elements, {evaluated} window evaluations, {rate:,.0f}/s",
+        f"{len(gs)} elements, {audited} audited window evaluations, {rate:,.0f}/s",
     )
 
 

@@ -7,7 +7,9 @@ import pytest
 
 import hypaction as H
 from hypaction.analysis import decay_triples, fit_envelope
-from hypaction.errors import FitError, PSelectionError
+from hypaction.errors import FitError, OutOfWindowError, PSelectionError
+
+from line2 import line2_ball_json
 
 
 # ---------------------------------------------------------------- upsilon
@@ -34,6 +36,28 @@ def test_upsilon_dominates_all_layers(z23_ball8):
         total += size
         if r >= 1:
             assert total <= ups ** r + 1e-9
+
+
+@pytest.mark.parametrize("family, unit_ball", [
+    ("free:2", 5), ("zm:2,3", 4), ("zm:2,2,2", 4), ("line2", 5),
+])
+@pytest.mark.parametrize("radius", [0, 1, 8])
+def test_upsilon_is_the_unit_ball_size(family, unit_ball, radius):
+    # B(e, r + s) lies in B(e, r) B(e, s), so #B(e, 1) bounds every radius
+    if family == "line2":
+        spec = H.ball_from_json(line2_ball_json(10), delta=1)
+    else:
+        spec = H.spec_from_descriptor(family)
+    ups = H.estimate_upsilon(H.build_ball(spec, radius))
+    assert ups == unit_ball
+    sizes = H.build_ball(spec, 8).layer_sizes()
+    assert all(sum(sizes[: r + 1]) <= ups ** r for r in range(1, 9))
+
+
+def test_upsilon_undetermined_by_a_ball_file_of_radius_zero():
+    spec = H.ball_from_json(line2_ball_json(0), delta=1)
+    with pytest.raises(OutOfWindowError):
+        H.estimate_upsilon(H.build_ball(spec, 0))
 
 
 # ---------------------------------------------------------------- envelope fits

@@ -20,6 +20,23 @@ def test_ball_command(tmp_path):
     assert payload["upsilon"] == 5.0
 
 
+def test_ball_command_prints_upsilon_at_radius_one(tmp_path):
+    code, text = run_cli(["ball", "--group", "free:2", "--radius", "1"], tmp_path)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["layer_sizes"] == [1, 4]
+    assert payload["upsilon"] == 5.0
+
+
+def test_select_p_and_verify_at_radius_one(tmp_path):
+    code, text = run_cli(["select-p", "--group", "free:2", "--radius", "1"], tmp_path, "sel")
+    assert code == 0
+    assert json.loads(text)["upsilon"] == 5.0
+    code, text = run_cli(["verify", "--group", "free:2", "--radius", "1"], tmp_path, "ver")
+    assert code == 0
+    assert json.loads(text)["passed"]
+
+
 def test_chain_command_base_case(tmp_path):
     code, text = run_cli(["chain", "--group", "free:2", "e", "a^5"], tmp_path)
     assert code == 0

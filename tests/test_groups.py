@@ -283,3 +283,16 @@ def test_descriptor_parsing():
     assert H.spec_from_descriptor("zm:2,3").orders == (2, 3)
     with pytest.raises(ValueError):
         H.spec_from_descriptor("dihedral:7")
+
+
+@pytest.mark.parametrize("spec, exact", [
+    (H.FreeGroupSpec(2), True),
+    (H.FreeGroupSpec(2, delta=2), False),
+    (H.FreeProductSpec((2, 2, 2)), True),
+    (H.FreeProductSpec((2, 2, 2), delta=2), False),
+    (H.FreeProductSpec((2, 3)), False),
+    (H.ball_from_json(H.ball_to_json(H.FreeGroupSpec(2), 3)), False),
+], ids=["free:2", "free:2-delta2", "zm:2,2,2", "zm:2,2,2-delta2", "zm:2,3", "ball"])
+def test_exact_tree_flag(spec, exact):
+    # a tree Cayley graph with delta = 1; a ball file is never assumed a tree
+    assert spec.exact_tree is exact

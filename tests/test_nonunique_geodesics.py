@@ -18,33 +18,7 @@ from hypaction.analysis import _supported_triples, decay_triples, fit_envelope
 from hypaction.errors import ExactnessError, OutOfWindowError
 from hypaction.suite import _sample, run_suite
 
-STEPS = [1, -1, 2, -2]
-
-
-def line2_ball_json(radius):
-    gens = [
-        {"label": "p", "inverse": 1},
-        {"label": "P", "inverse": 0},
-        {"label": "q", "inverse": 3},
-        {"label": "Q", "inverse": 2},
-    ]
-    verts = list(range(-2 * radius, 2 * radius + 1))
-    edges = []
-    for n in verts:
-        for gi, s in enumerate(STEPS):
-            if -2 * radius <= n + s <= 2 * radius:
-                edges.append([str(n), gi, str(n + s)])
-    return {
-        "generators": gens,
-        "basepoint": "0",
-        "radius": radius,
-        "vertices": [str(n) for n in verts],
-        "edges": edges,
-    }
-
-
-def endpoint(w):
-    return sum(STEPS[x] for x in w)
+from line2 import endpoint, line2_ball_json
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +300,17 @@ def test_suite_chain_check_inconclusive_when_every_pair_is_skipped():
     assert check["inconclusive"] and not check["passed"]
     assert "chain-convexity-support" in report["inconclusive"]
     assert report["passed"] is False
+
+
+def test_suite_runs_on_a_ball_smaller_than_delta():
+    # B(e, delta) does not fit in the ball, but no flower is ever needed:
+    # the engine is built and every chain check is skipped, not crashed
+    spec = H.ball_from_json(line2_ball_json(1), delta=2)
+    with pytest.raises(ExactnessError):
+        H.ChainEngine(spec).f_chain((), spec.parse("p"))
+    report = run_suite(spec, radius=1, samples=20, seed=1, exhaustive_radius=0)
+    check = {c["name"]: c for c in report["checks"]}["chain-convexity-support"]
+    assert check["inconclusive"] and check["details"]["evaluated"] == 0
 
 
 def test_suite_properness_inconclusive_on_a_small_ball(small_ball_report):
