@@ -119,7 +119,7 @@ def decay_triples(ball: CayleyBall, sample_count: int, seed: int):
             try:
                 a2 = a
                 for x in steps:
-                    a2 = spec._mul_letter_right(a2, x)
+                    a2 = spec._mul(a2, (x,))
             except OutOfWindowError:
                 continue
         else:

@@ -33,17 +33,18 @@ class Bicombing:
     def greedy_path_from_identity(self, x: Word) -> GeodesicPath:
         """The canonical geodesic e -> x by greedy descent (uncached)."""
         spec = self.spec
-        mul, inv = spec._mul, spec._inv
-        order = spec.generator_order
+        mul = spec._mul
+        # (g, g^-1) as one-letter words, in the greedy order
+        steps = [((gi,), (spec._inv[gi],)) for gi in spec.generator_order]
         path = [()]
         cur: Word = ()
         remaining = x
         while remaining:
             n = len(remaining)
-            for gi in order:
-                nxt = spec._mul_letter_left(inv[gi], remaining)
+            for letter, back in steps:
+                nxt = mul(back, remaining)
                 if len(nxt) == n - 1:
-                    cur = mul(cur, (gi,))
+                    cur = mul(cur, letter)
                     path.append(cur)
                     remaining = nxt
                     break

@@ -60,12 +60,13 @@ class CayleyBall:
         sweep over the ball needs no inversions or full products.
         """
         spec = self.spec
-        inv = spec._inv
-        left, right_mul = spec._mul_letter_left, spec._mul_letter_right
+        mul = spec._mul
+        letters = [(x,) for x in range(len(spec.generators))]
+        inverses = [letters[x] for x in spec._inv]
         out = [start] * len(self.words)
         for h, (par, letter) in enumerate(self.parent_letters):
             if h:
-                out[h] = right_mul(out[par], letter) if right else left(inv[letter], out[par])
+                out[h] = mul(out[par], letters[letter]) if right else mul(inverses[letter], out[par])
         return out
 
 
@@ -118,27 +119,24 @@ def ball_to_json(spec: GroupSpec, radius: int) -> dict:
 
 def distance(spec: GroupSpec, a: Word, b: Word) -> int:
     """Word metric d(a, b), computed left-invariantly as |a^-1 b|."""
-    return len(spec.multiply(spec.invert(a), b))
-
-
-def _distance(spec: GroupSpec, a: Word, b: Word) -> int:
+    spec.validate_word(a)
+    spec.validate_word(b)
     return len(spec._mul(spec._inv_word(a), b))
 
 
 def gromov_product(spec: GroupSpec, a: Word, b: Word, c: Word) -> Fraction:
     """(b|c)_a = [d(a,b) + d(a,c) - d(b,c)] / 2, exact as a half-integer."""
-    dab = distance(spec, a, b)
-    dac = _distance(spec, a, c)
-    dbc = _distance(spec, b, c)
-    return Fraction(dab + dac - dbc, 2)
+    return Fraction(distance(spec, a, b) + distance(spec, a, c) - distance(spec, b, c), 2)
 
 
 @dataclass
 class CertReport:
-    """Result of a fineness certification run."""
+    """Result of a fineness certification run. It passes only when some
+    triple was evaluated; with none evaluated it is inconclusive."""
 
     delta: int
     samples: int
+    evaluated: int
     skipped: int
     max_deviation: int
     witness: list[str] = field(default_factory=list)
@@ -153,6 +151,7 @@ class CertReport:
         return {
             "delta": self.delta,
             "samples": self.samples,
+            "evaluated": self.evaluated,
             "skipped": self.skipped,
             "max_deviation": self.max_deviation,
             "witness": self.witness,
@@ -180,30 +179,32 @@ def certify_delta(
     (|b| + |c| + d(a,b) + d(a,c)) / 2 <= 3r of the identity, and every
     other product of the sweep stays within 2r + 1 (3r is attained on Z^2).
     So r is clamped to the ball and to a third of the longest word of the
-    spec, and the report gives the radius swept.
+    spec, and the report gives the radius swept. A negative r is an error.
     """
     spec = ball.spec
     q = Bicombing(spec)
     rng = random.Random(seed)
     max_dev = 0
     witness: list[str] = []
-    skipped = 0
+    evaluated = skipped = 0
     if exhaustive_radius is not None:
+        if exhaustive_radius < 0:
+            raise ValueError("the exhaustive radius must be nonnegative")
         # max_word_length is infinite on the built-in families
         exhaustive_radius = int(min(exhaustive_radius, ball.radius, spec.max_word_length / 3))
 
     def check(a: Word, b: Word, c: Word) -> None:
-        nonlocal max_dev, witness
+        nonlocal max_dev, witness, evaluated
         top = int(gromov_product(spec, a, b, c))
-        if top == 0:
-            return
-        pab = q.q_path(a, b)
-        pac = q.q_path(a, c)
-        for t in range(1, top + 1):
-            dev = _distance(spec, pab[t], pac[t])
-            if dev > max_dev:
-                max_dev = dev
-                witness = [spec.label_word(x) for x in (a, b, c)]
+        if top:
+            pab = q.q_path(a, b)
+            pac = q.q_path(a, c)
+            for t in range(1, top + 1):
+                dev = distance(spec, pab[t], pac[t])
+                if dev > max_dev:
+                    max_dev = dev
+                    witness = [spec.label_word(x) for x in (a, b, c)]
+        evaluated += 1
 
     if exhaustive_radius is not None:
         small = [w for w, d in zip(ball.words, ball.dist) if d <= exhaustive_radius]
@@ -223,9 +224,10 @@ def certify_delta(
     return CertReport(
         delta=delta,
         samples=samples,
+        evaluated=evaluated,
         skipped=skipped,
         max_deviation=max_dev,
         witness=witness,
-        passed=max_dev <= delta,
+        passed=evaluated > 0 and max_dev <= delta,
         exhaustive_radius=exhaustive_radius,
     )

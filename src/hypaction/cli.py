@@ -27,6 +27,8 @@ from .groups import GroupSpec, spec_from_descriptor
 from .suite import run_suite
 
 _BYTES_PER_VERTEX = 160
+# config fields that take an integer; bool is rejected too
+_INT_FIELDS = ("radius", "seed", "samples", "memory_budget_mb", "delta")
 
 
 @dataclass
@@ -50,6 +52,10 @@ class RunConfig:
             if unknown:
                 raise ValueError(f"unknown config fields: {sorted(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
+        for key in _INT_FIELDS:
+            value = data.get(key)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"config field {key!r} must be an integer, not {value!r}")
         cfg = cls(**data)
         if cfg.radius < 0 or cfg.samples < 0 or cfg.seed < 0 or cfg.memory_budget_mb <= 0:
             raise ValueError("radius, samples and seed must be nonnegative; budget positive")
@@ -158,7 +164,8 @@ def cmd_certify_delta(cfg: RunConfig, exhaustive_radius: int) -> int:
     ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
     report = certify_delta(ball, spec.delta, cfg.samples, cfg.seed, exhaustive_radius)
     _emit_json(report.to_json(), cfg.output)
-    return 0 if report.passed else 1
+    # exit 3, as verify does, when no triple was evaluated
+    return 0 if report.passed else 1 if report.evaluated else 3
 
 
 def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:

@@ -10,11 +10,13 @@ exact rational convex combination supported on S(a, 10*delta).
 
 All recursion runs at the identity: equivariance gives
 f(a, b) = a . f(e, a^-1 b) and Fl(v, w) = v . Fl(e, v^-1 w), so one routine
-lists flower members, and the literal oracle translates what it lists. The
-memo holds exactly the averaging nodes whose chain has at least two support
-points, whoever asks for them: every key above such a node shares it. Point
-masses are never stored, so on the built-in families, where every chain is
-a point mass, the memo stays empty.
+lists flower members, and the literal oracle translates what it lists. It
+lists Fl(e, x) as x first, then every x u of length |x| for u in
+B(e, delta) \\ {e}, in the breadth-first order of u; averaged chains are
+built in that order. The memo holds exactly the averaging nodes whose chain
+has at least two support points, whoever asks for them: every key above
+such a node shares it. Point masses are never stored, so on the built-in
+families, where every chain is a point mass, the memo stays empty.
 """
 
 from __future__ import annotations
@@ -68,17 +70,15 @@ class ChainEngine:
         self.q = bicombing if bicombing is not None else Bicombing(spec)
         self.ten_delta = 10 * spec.delta
         self.cache = ChainCache()
-        # for delta = 1 the small ball is the identity plus one letter per
-        # generator, so flower members come from single-letter products
-        self._sb_letters = list(range(len(spec.generators))) if spec.delta == 1 else None
 
     # -- flowers and projections --------------------------------------------
 
     @cached_property
-    def _small_ball(self) -> list[Word]:
-        """B(e, delta), built on first use: a flower needs a margin of delta,
-        so on an explicit ball of smaller radius it is never built."""
-        return build_ball(self.spec, self.spec.delta).words
+    def _small_ball_moves(self) -> list[Word]:
+        """B(e, delta) \\ {e} in breadth-first order, built on first use: a
+        flower needs a margin of delta, so on an explicit ball of smaller
+        radius it is never built."""
+        return build_ball(self.spec, self.spec.delta).words[1:]
 
     def flower(self, v: Word, w: Word) -> tuple[Word, ...]:
         """Fl(v, w) = S(v, d(v, w)) /\\ B(w, delta) = v . Fl(e, v^-1 w), sorted; never empty."""
@@ -90,18 +90,16 @@ class ChainEngine:
         return tuple(sorted(spec._mul(v, y) for y in members))
 
     def _flower_members_from_identity(self, x: Word) -> list[Word]:
-        """Fl(e, x): the words x u with u in B(e, delta) and |x u| = |x|."""
+        """Fl(e, x): x, then the words x u with u in B(e, delta) \\ {e} and
+        |x u| = |x|, in the breadth-first order of u."""
         d = len(x)
-        if self._sb_letters is not None:
-            right = self.spec._mul_letter_right
-            members = [x]
-            for li in self._sb_letters:
-                y = right(x, li)
-                if len(y) == d:
-                    members.append(y)
-            return members
         mul = self.spec._mul
-        return sorted(y for u in self._small_ball if len(y := mul(x, u)) == d)
+        members = [x]
+        for u in self._small_ball_moves:
+            y = mul(x, u)
+            if len(y) == d:
+                members.append(y)
+        return members
 
     def project(self, a: Word, b: Word) -> Word:
         """pr_a(b): the bicombing point at the largest multiple of 10*delta

@@ -4,7 +4,8 @@ A vertex of the Cayley graph is represented by the normal form of the group
 element it stands for: a tuple of generator indices (``Word``). The empty
 tuple is the identity. A :class:`GroupSpec` owns the generating set and
 provides multiplication, inversion, geodesic word length, parsing and
-printing. Three families are supported:
+printing. Each family has one product routine, ``_mul``, for one-letter and
+long words alike. Three families are supported:
 
 * free groups of finite rank,
 * free products of finite cyclic groups, generated by all nontrivial powers
@@ -112,15 +113,9 @@ class GroupSpec:
         return len(u)
 
     def _mul(self, u: Word, v: Word) -> Word:
+        """The product of two normal forms, unvalidated: the one product
+        routine of the family, short words included."""
         raise NotImplementedError
-
-    def _mul_letter_left(self, x: int, u: Word) -> Word:
-        """Normal form of (one generator) * u; hot-path helper."""
-        return self._mul((x,), u)
-
-    def _mul_letter_right(self, u: Word, x: int) -> Word:
-        """Normal form of u * (one generator); hot-path helper."""
-        return self._mul(u, (x,))
 
     def _inv_word(self, u: Word) -> Word:
         inv = self._inv
@@ -217,23 +212,14 @@ class FreeGroupSpec(GroupSpec):
         if not v:
             return u
         inv = self._inv
-        out = list(u)
-        for x in v:
-            if out and out[-1] == inv[x]:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
-
-    def _mul_letter_left(self, x: int, u: Word) -> Word:
-        if u and u[0] == self._inv[x]:
-            return u[1:]
-        return (x,) + u
-
-    def _mul_letter_right(self, u: Word, x: int) -> Word:
-        if u and u[-1] == self._inv[x]:
-            return u[:-1]
-        return u + (x,)
+        if u[-1] != inv[v[0]]:
+            return u + v
+        # u[-1] cancels v[0]; walk on while u[i] cancels v[j]
+        i, j, n = len(u) - 2, 1, len(v)
+        while i >= 0 and j < n and u[i] == inv[v[j]]:
+            i -= 1
+            j += 1
+        return u[:i + 1] + v[j:]
 
     def validate_word(self, u: Word) -> None:
         n = len(self.generators)
@@ -301,39 +287,22 @@ class FreeProductSpec(GroupSpec):
             return v
         if not v:
             return u
-        factor, power, orders = self._factor, self._power, self.orders
-        gen_index = self._gen_index
-        out = list(u)
-        for x in v:
-            if out and factor[out[-1]] == factor[x]:
-                f = factor[x]
-                p = (power[out[-1]] + power[x]) % orders[f]
-                out.pop()
-                if p:
-                    out.append(gen_index[f][p])
-            else:
-                out.append(x)
-        return tuple(out)
-
-    def _mul_letter_left(self, x: int, u: Word) -> Word:
         factor = self._factor
-        if u and factor[u[0]] == factor[x]:
-            f = factor[x]
-            p = (self._power[x] + self._power[u[0]]) % self.orders[f]
+        if factor[u[-1]] != factor[v[0]]:
+            return u + v
+        # merge the junction syllables u[i], v[j]: a nonzero power ends the
+        # merge, a zero power cancels both and the next pair may merge again
+        power, orders = self._power, self.orders
+        i, j = len(u) - 1, 0
+        while True:
+            f = factor[v[j]]
+            p = (power[u[i]] + power[v[j]]) % orders[f]
             if p:
-                return (self._gen_index[f][p],) + u[1:]
-            return u[1:]
-        return (x,) + u
-
-    def _mul_letter_right(self, u: Word, x: int) -> Word:
-        factor = self._factor
-        if u and factor[u[-1]] == factor[x]:
-            f = factor[x]
-            p = (self._power[u[-1]] + self._power[x]) % self.orders[f]
-            if p:
-                return u[:-1] + (self._gen_index[f][p],)
-            return u[:-1]
-        return u + (x,)
+                return u[:i] + (self._gen_index[f][p],) + v[j + 1:]
+            i -= 1
+            j += 1
+            if i < 0 or j == len(v) or factor[u[i]] != factor[v[j]]:
+                return u[:i + 1] + v[j:]
 
     def validate_word(self, u: Word) -> None:
         n = len(self.generators)

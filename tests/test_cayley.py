@@ -7,6 +7,7 @@ import pytest
 
 import hypaction as H
 from hypaction.errors import OutOfWindowError, ResourceBudgetError
+from hypaction.suite import run_suite
 
 
 def test_ball_counts(f2, z23):
@@ -76,6 +77,28 @@ def test_certify_delta_free(f2, f2_ball6):
 def test_certify_delta_degenerate(f2, f2_ball6):
     report = H.certify_delta(f2_ball6, 1, 0, seed=0, exhaustive_radius=0)
     assert report.max_deviation == 0 and report.passed
+
+
+def test_certify_delta_counts_evaluated_triples(f2, f2_ball6):
+    # the sweep over B(e, 1)^3 (5 words) plus every sample
+    report = H.certify_delta(f2_ball6, 1, 7, seed=1, exhaustive_radius=1)
+    assert (report.evaluated, report.skipped) == (5 ** 3 + 7, 0)
+    assert report.to_json()["evaluated"] == 132
+
+
+def test_certify_delta_that_evaluated_nothing_does_not_pass(f2_ball6):
+    report = H.certify_delta(f2_ball6, 1, 0, seed=0, exhaustive_radius=None)
+    assert report.evaluated == 0 and report.max_deviation == 0
+    assert not report.passed and report.to_json()["pass"] is False
+    suite = run_suite(H.FreeGroupSpec(2), radius=2, samples=0, exhaustive_radius=None)
+    cert = {c["name"]: c for c in suite["checks"]}["delta-certificate"]
+    assert cert["inconclusive"] and not cert["passed"]
+    assert "delta-certificate" in suite["inconclusive"]
+
+
+def test_certify_delta_rejects_a_negative_exhaustive_radius(f2_ball6):
+    with pytest.raises(ValueError):
+        H.certify_delta(f2_ball6, 1, 0, seed=0, exhaustive_radius=-1)
 
 
 def test_certify_delta_product(z23, z23_ball8):

@@ -168,6 +168,24 @@ def test_config_validation(tmp_path):
     assert main(["ball", "--config", str(ugly)]) == 2
 
 
+def test_config_fields_must_be_integers(tmp_path, capsys):
+    for i, field in enumerate(({"radius": "5"}, {"samples": 2.5}, {"seed": True})):
+        path = tmp_path / f"typed{i}.json"
+        path.write_text(json.dumps({"group": "free:2", **field}))
+        assert main(["ball", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_negative_exhaustive_radius_is_a_config_error(tmp_path, capsys):
+    # with no samples and no sweep the certificate would check nothing
+    for command in ("certify-delta", "verify"):
+        out = tmp_path / command
+        code = main([command, "--group", "free:2", "--radius", "3", "--samples", "0",
+                     "--exhaustive-radius", "-1", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+
 def test_bad_group_descriptor():
     assert main(["ball", "--group", "braid:5"]) == 2
 

@@ -89,6 +89,48 @@ def test_group_laws_product(z23):
         assert z23.multiply(g, z23.invert(g)) == ()
 
 
+def _syllable(spec, x):
+    """(base letter, exponent) of a generator, read off its label."""
+    base, _, exp = spec.generators[x].label.partition("^")
+    if isinstance(spec, H.FreeGroupSpec):
+        return base.lower(), 1 if base.islower() else -1
+    return base, int(exp or 1)
+
+
+def _reduce_letter_by_letter(spec, letters):
+    """The normal form of a letter sequence, pushed one letter at a time on
+    a stack: a letter cancels or merges with the top when their bases agree
+    (exponents add, modulo the factor order on free products)."""
+    generator_of = {_syllable(spec, x): x for x in range(len(spec.generators))}
+    orders = dict(zip("stuvwxyz", getattr(spec, "orders", ())))
+    out = []
+    for x in letters:
+        base, exp = _syllable(spec, x)
+        if out and _syllable(spec, out[-1])[0] == base:
+            total = _syllable(spec, out[-1])[1] + exp
+            if base in orders:
+                total %= orders[base]
+            if total == 0:
+                out.pop()
+                continue
+            if base in orders:
+                out[-1] = generator_of[base, total]
+                continue
+        out.append(x)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("descriptor", ["free:2", "zm:2,3", "zm:3,4"])
+def test_mul_matches_letter_by_letter_reduction(descriptor):
+    # zm:3,4 merges syllables to powers other than the inverse, and chains
+    # of zero merges (u = x y, v = y^-1 x^-1) cancel through several pairs
+    spec = H.spec_from_descriptor(descriptor)
+    words = H.build_ball(spec, 4).words
+    for u in words:
+        for v in words:
+            assert spec._mul(u, v) == _reduce_letter_by_letter(spec, u + v), (u, v)
+
+
 def test_word_length_is_bfs_distance(f2, f2_ball6, z23, z23_ball6):
     for ball in (f2_ball6, z23_ball6):
         for w, d in zip(ball.words, ball.dist):

@@ -288,6 +288,16 @@ def test_suite_reports_skips_on_a_small_ball(small_ball_report):
     assert evaluated + sum(skipped.values()) == 300
 
 
+def test_suite_group_laws_count_skips_by_type(small_ball_report):
+    # products of two radius-8 words can leave the radius-10 ball; those
+    # associativity cases are skipped by type, the rest evaluated
+    laws = {c["name"]: c for c in small_ball_report["checks"]}["group-laws"]
+    details = laws["details"]
+    assert laws["passed"] and details["witness"] is None
+    assert details["evaluated"] > 300 and details["skipped"]["OutOfWindowError"] > 0
+    assert details["evaluated"] + details["skipped"]["OutOfWindowError"] == 2 * 300
+
+
 def test_suite_chain_check_inconclusive_when_every_pair_is_skipped():
     # on a radius-4 ball both sampled pairs reach past the ball: the chain
     # check evaluated nothing, so it must not report a pass

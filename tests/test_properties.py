@@ -1,7 +1,8 @@
 """Property tests: group laws, bicombing equivariance, and the chain f.
 
-The families are the free group of rank 2, the free products Z/2 * Z/3
-and Z/2 * Z/2 * Z/2, and the integers with generators {+-1, +-2} loaded as
+The families are the free group of rank 2, the free products Z/2 * Z/3,
+Z/2 * Z/2 * Z/2 and Z/3 * Z/4 (whose syllables merge to powers other than
+the inverse), and the integers with generators {+-1, +-2} loaded as
 an explicit ball, whose radius leaves every product and chain of these
 tests inside it. Words are grown from e one distance-increasing edge at a
 time, so their lengths spread up to MAX_LENGTH and chains reach the
@@ -27,7 +28,7 @@ MAX_LENGTH = 16
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 
-@pytest.fixture(scope="module", params=["free:2", "zm:2,3", "zm:2,2,2", "line2"])
+@pytest.fixture(scope="module", params=["free:2", "zm:2,3", "zm:2,2,2", "zm:3,4", "line2"])
 def engine(request):
     if request.param == "line2":
         return H.ChainEngine(H.ball_from_json(line2_ball_json(80), delta=1))
