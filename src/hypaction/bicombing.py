@@ -34,8 +34,8 @@ class Bicombing:
         """The canonical geodesic e -> x by greedy descent (uncached)."""
         spec = self.spec
         mul = spec._mul
-        # (g, g^-1) as one-letter words, in the greedy order
-        steps = [((gi,), (spec._inv[gi],)) for gi in spec.generator_order]
+        # (g, g^-1) as one-letter words, in declaration order
+        steps = [((gi,), (inv,)) for gi, inv in enumerate(spec._inv)]
         path = [()]
         cur: Word = ()
         remaining = x

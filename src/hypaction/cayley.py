@@ -171,8 +171,10 @@ def certify_delta(
     """Check the fine-triangle condition on sampled (and small exhaustive) triples.
 
     For a triple (a, b, c) the points v = q[a,b](t) and w = q[a,c](t) with
-    t = 0 .. floor((b|c)_a) must satisfy d(v, w) <= delta. The report carries
-    the maximal observed deviation and a maximizing witness triple.
+    t = 0 .. floor((b|c)_a) must satisfy d(v, w) <= delta. A triple counts
+    as evaluated only when (b|c)_a >= 1, so that some pair of points is
+    compared. The report carries the maximal observed deviation and a
+    maximizing witness triple.
 
     The exhaustive sweep over B(e, r)^3 multiplies out words of length up
     to 3r: d(v, w) walks from v^-1 along the word of w, which stays within
@@ -182,6 +184,7 @@ def certify_delta(
     spec, and the report gives the radius swept. A negative r is an error.
     """
     spec = ball.spec
+    mul, inv_word = spec._mul, spec._inv_word
     q = Bicombing(spec)
     rng = random.Random(seed)
     max_dev = 0
@@ -200,11 +203,12 @@ def certify_delta(
             pab = q.q_path(a, b)
             pac = q.q_path(a, c)
             for t in range(1, top + 1):
-                dev = distance(spec, pab[t], pac[t])
+                # bicombing points are normal forms; no validation needed
+                dev = len(mul(inv_word(pab[t]), pac[t]))
                 if dev > max_dev:
                     max_dev = dev
                     witness = [spec.label_word(x) for x in (a, b, c)]
-        evaluated += 1
+            evaluated += 1
 
     if exhaustive_radius is not None:
         small = [w for w, d in zip(ball.words, ball.dist) if d <= exhaustive_radius]

@@ -41,7 +41,6 @@ class RunConfig:
     samples: int = 400
     memory_budget_mb: int = 512
     output: str | None = None
-    generator_order: list[str] | None = None
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
@@ -64,8 +63,7 @@ class RunConfig:
         return cfg
 
     def make_spec(self) -> GroupSpec:
-        order = tuple(self.generator_order) if self.generator_order else None
-        return spec_from_descriptor(self.group, delta=self.delta, generator_order=order)
+        return spec_from_descriptor(self.group, delta=self.delta)
 
     def max_vertices(self, radius: int) -> int:
         per_vertex = _BYTES_PER_VERTEX + 8 * radius

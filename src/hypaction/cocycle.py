@@ -10,13 +10,13 @@ families, and checks the algebraic identities behind the construction.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .analysis import tail_bound
 from .cayley import CayleyBall
-from .chains import Chain, add, as_chain, normalized_diff_pow, sub, translate
+from .chains import as_chain, normalized_diff_pow, sub, translate
 from .errors import ExactnessError, InvariantViolation, PSelectionError
 from .flowers import ChainEngine, NormalizedChain
 from .groups import Word
@@ -58,8 +58,8 @@ class Cocycle:
     """Evaluator for the cocycle of one engine at a fixed exponent p >= 2."""
 
     def __init__(self, engine: ChainEngine, p: float):
-        if p < 2:
-            raise ValueError("the cocycle is evaluated at p >= 2")
+        if not 2 <= p < math.inf:
+            raise ValueError(f"the cocycle is evaluated at finite p >= 2, not {p}")
         self.engine = engine
         self.spec = engine.spec
         self.p = float(p)
@@ -282,15 +282,16 @@ class Cocycle:
     ) -> IdentityReport:
         """Check b(gk) = pi(g) b(k) + b(g) pointwise over the window.
 
-        The residual is formed at the exact rational chain level: each
-        normalized term is kept as (chain, normalizer) and terms are grouped
-        by their normalizer (the sorted coefficient multiset, which pins
-        down ||.||_p for every p); the identity holds iff each group sums to
-        the zero chain. The two eta terms cancel symbolically and are
-        omitted. Singleton chains (whose lone coefficient is exactly 1) get
-        a dedicated point-comparison path. A fraction of vertices is audited
-        with the literal recursion, which re-derives the translated chains
-        from scratch.
+        With m = g^-1 gamma, left-invariance writes the head of b(gk)(gamma)
+        and the head of (pi(g) b(k))(gamma) as one chain h_e(gamma^-1 gk)
+        translated by gamma and by g after m, and b(g)(gamma) and the tail of
+        (pi(g) b(k))(gamma) likewise from h_e(gamma^-1 g); the two eta terms
+        cancel symbolically. The sweep checks that the two translations
+        agree, gamma w == g (m w), at every support point w, so each term
+        cancels its partner. This tests the group law and the walks; the
+        literal audits, which re-derive the translated chains from scratch
+        at a fraction of the vertices, are the independent check of the
+        equivariance of f.
 
         ``window`` may be a CayleyBall, whose translates gamma^-1 gk,
         gamma^-1 g and g^-1 gamma come from three ``CayleyBall.walk`` passes
@@ -305,7 +306,6 @@ class Cocycle:
         gk = mul(g, k)
         ginv = inv_word(g)
         rng = random.Random(seed)
-        one = Fraction(1)
         witnesses: list[Word] = []
         audited = 0
         vertices = 0
@@ -325,38 +325,18 @@ class Cocycle:
         fpoint = eng._f_point_basepoint
         for gamma, u1, u2, m in items:
             vertices += 1
-            w1 = fpoint(u1)
-            w2 = fpoint(u2)
-            if not isinstance(w1, dict) and not isinstance(w2, dict):
-                # both chains are unit point masses; compare the four points
-                a1 = mul(gamma, w1)
-                b1 = mul(g, mul(m, w1))
-                a2 = mul(gamma, w2)
-                b2 = mul(g, mul(m, w2))
-                if not ((a1 == b1 and a2 == b2) or (a1 == a2 and b1 == b2)):
+            w1, w2 = fpoint(u1), fpoint(u2)
+            # two point masses are looped over as words: building unit dicts
+            # for them slows the tree sweeps
+            spread = isinstance(w1, dict) or isinstance(w2, dict)
+            for w in (*as_chain(w1), *as_chain(w2)) if spread else (w1, w2):
+                if mul(gamma, w) != mul(g, mul(m, w)):
                     if len(witnesses) < _MAX_WITNESSES:
                         witnesses.append(gamma)
-                if audit_fraction and rng.random() < audit_fraction:
-                    audited += 1
-                    self._audit_identity(g, k, gk, gamma, m, {w1: one}, {w2: one})
-                continue
-            c1 = as_chain(w1)
-            c2 = as_chain(w2)
-            f_gk = {mul(gamma, w): c for w, c in c1.items()}     # b(gk) head
-            t1 = {mul(g, mul(m, w)): c for w, c in c1.items()}   # pi(g) b(k) head
-            t2 = {mul(g, mul(m, w)): c for w, c in c2.items()}   # pi(g) b(k) tail
-            f_g = {mul(gamma, w): c for w, c in c2.items()}      # b(g) head
-            key1 = tuple(sorted(c1.values()))
-            key2 = tuple(sorted(c2.values()))
-            groups: dict[tuple, Chain] = {}
-            for op, chain, key in ((add, f_gk, key1), (sub, t1, key1), (add, t2, key2), (sub, f_g, key2)):
-                groups[key] = op(groups.get(key, {}), chain)
-            if any(groups.values()):
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append(gamma)
+                    break
             if audit_fraction and rng.random() < audit_fraction:
                 audited += 1
-                self._audit_identity(g, k, gk, gamma, m, c1, c2)
+                self._audit_identity(g, k, gk, gamma, m, as_chain(w1), as_chain(w2))
         return IdentityReport(
             vertices=vertices,
             residual_zero=not witnesses,

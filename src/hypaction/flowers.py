@@ -21,6 +21,7 @@ families, where every chain is a point mass, the memo stays empty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -65,9 +66,9 @@ class NormalizedChain:
 class ChainEngine:
     """Builds flowers, projections and the averaged chains for one spec."""
 
-    def __init__(self, spec: GroupSpec, bicombing: Bicombing | None = None):
+    def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.q = bicombing if bicombing is not None else Bicombing(spec)
+        self.q = Bicombing(spec)
         self.ten_delta = 10 * spec.delta
         self.cache = ChainCache()
 
@@ -214,8 +215,8 @@ class ChainEngine:
 
     def h_chain(self, b: Word, a: Word, p: float) -> NormalizedChain:
         """h(b, a) = f(b, a) / ||f(b, a)||_p, kept as f plus its normalizer."""
-        if p < 2:
-            raise ValueError("the normalized chains are defined for p >= 2")
+        if not 2 <= p < math.inf:
+            raise ValueError(f"the normalized chains are defined for finite p >= 2, not {p}")
         f = self.f_chain(b, a)
         return normalize(f, p)
 

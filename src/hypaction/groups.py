@@ -63,13 +63,7 @@ class GroupSpec:
     # explicit balls, where words end at the boundary of the loaded ball
     max_word_length: float = math.inf
 
-    def __init__(
-        self,
-        generators: tuple[Generator, ...],
-        delta: int,
-        name: str,
-        generator_order: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, generators: tuple[Generator, ...], delta: int, name: str):
         if delta < 1:
             raise ValueError("the fineness constant delta must be a positive integer")
         self.generators = tuple(generators)
@@ -84,13 +78,6 @@ class GroupSpec:
         if len(self._by_label) != n:
             raise ValueError("generator labels must be distinct")
         self._labels_desc = sorted(self._by_label, key=len, reverse=True)
-        if generator_order is None:
-            self.generator_order = tuple(range(n))
-        else:
-            order = tuple(self._by_label[lbl] for lbl in generator_order)
-            if sorted(order) != list(range(n)):
-                raise ValueError("generator_order must be a permutation of all labels")
-            self.generator_order = order
 
     # -- group law ---------------------------------------------------------
 
@@ -194,7 +181,7 @@ class FreeGroupSpec(GroupSpec):
 
     unique_geodesics = True
 
-    def __init__(self, rank: int, delta: int = 1, generator_order: tuple[str, ...] | None = None):
+    def __init__(self, rank: int, delta: int = 1):
         if not 1 <= rank <= 26:
             raise ValueError("free rank must be between 1 and 26")
         gens = []
@@ -202,7 +189,7 @@ class FreeGroupSpec(GroupSpec):
             low, up = chr(ord("a") + i), chr(ord("A") + i)
             gens.append(Generator(2 * i, low, 2 * i + 1))
             gens.append(Generator(2 * i + 1, up, 2 * i))
-        super().__init__(tuple(gens), delta, f"free:{rank}", generator_order)
+        super().__init__(tuple(gens), delta, f"free:{rank}")
         self.rank = rank
         self.exact_tree = self.delta == 1
 
@@ -243,12 +230,7 @@ class FreeProductSpec(GroupSpec):
 
     unique_geodesics = True
 
-    def __init__(
-        self,
-        orders: tuple[int, ...],
-        delta: int = 1,
-        generator_order: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, orders: tuple[int, ...], delta: int = 1):
         if not orders or any(m < 2 for m in orders):
             raise ValueError("factor orders must all be at least 2")
         if len(orders) < 2:
@@ -274,7 +256,7 @@ class FreeProductSpec(GroupSpec):
                 idx += 1
             gen_index.append(table)
         name = "zm:" + ",".join(str(m) for m in orders)
-        super().__init__(tuple(gens), delta, name, generator_order)
+        super().__init__(tuple(gens), delta, name)
         self.orders = tuple(int(m) for m in orders)
         self._factor = tuple(factor_of)
         self._power = tuple(power_of)
@@ -456,11 +438,7 @@ def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec
 # -- descriptors -------------------------------------------------------------
 
 
-def spec_from_descriptor(
-    descriptor: str,
-    delta: int | None = None,
-    generator_order: tuple[str, ...] | None = None,
-) -> GroupSpec:
+def spec_from_descriptor(descriptor: str, delta: int | None = None) -> GroupSpec:
     """Build a GroupSpec from a short descriptor string.
 
     ``free:N`` is the free group of rank N, ``zm:M1,M2,...`` the free product
@@ -468,12 +446,10 @@ def spec_from_descriptor(
     """
     kind, _, rest = descriptor.partition(":")
     if kind == "free":
-        return FreeGroupSpec(int(rest), delta=delta or 1, generator_order=generator_order)
+        return FreeGroupSpec(int(rest), delta=delta or 1)
     if kind == "zm":
         orders = tuple(int(x) for x in rest.split(","))
-        return FreeProductSpec(orders, delta=delta or 1, generator_order=generator_order)
+        return FreeProductSpec(orders, delta=delta or 1)
     if kind == "ball":
-        if generator_order is not None:
-            raise ValueError("generator_order is not supported for explicit balls")
         return load_ball_file(rest, delta=delta or 1)
     raise ValueError(f"unknown group descriptor {descriptor!r}")

@@ -197,8 +197,6 @@ def run_suite(
 
     # 8. cocycle identity over a small window
     p_run = selection.p if (p == "auto" and selection is not None) else p_probe
-    if p_run < 2.0:
-        p_run = 2.0
     coc = Cocycle(engine, p_run)
     rng = random.Random(seed * 13 + 8)
     window = build_ball(spec, min(4, radius))

@@ -86,14 +86,3 @@ def test_greedy_matches_prefix_shortcut(f2, z23, f2_ball6, z23_ball6):
         q = H.Bicombing(spec)
         for x in ball.words:
             assert q.greedy_path_from_identity(x) == q.path_from_identity(x)
-
-
-def test_generator_order_probe():
-    spec = H.FreeGroupSpec(2, generator_order=("B", "b", "A", "a"))
-    q = H.Bicombing(spec)
-    x = spec.parse("ab")
-    path = q.q_path((), x)
-    assert path[0] == () and path[-1] == x
-    assert len(path) == 3
-    # unique geodesics make the probe order-independent on trees
-    assert path == H.Bicombing(H.FreeGroupSpec(2)).q_path((), x)

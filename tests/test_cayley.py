@@ -75,15 +75,25 @@ def test_certify_delta_free(f2, f2_ball6):
 
 
 def test_certify_delta_degenerate(f2, f2_ball6):
+    # (e, e, e) is the only triple and compares no pair of points
     report = H.certify_delta(f2_ball6, 1, 0, seed=0, exhaustive_radius=0)
-    assert report.max_deviation == 0 and report.passed
+    assert report.evaluated == 0 and report.max_deviation == 0
+    assert not report.passed
 
 
 def test_certify_delta_counts_evaluated_triples(f2, f2_ball6):
-    # the sweep over B(e, 1)^3 (5 words) plus every sample
+    # the sweep over B(e, 1)^3 plus every sample, drawn as certify_delta
+    # draws them; a triple counts only when (b|c)_a >= 1
+    small = [w for w, d in zip(f2_ball6.words, f2_ball6.dist) if d <= 1]
+    pool = f2_ball6.words
+    rng = random.Random(1)
+    sampled = [tuple(pool[rng.randrange(len(pool))] for _ in range(3)) for _ in range(7)]
+    triples = list(itertools.product(small, repeat=3)) + sampled
+    positive = sum(H.gromov_product(f2, *t) >= 1 for t in triples)
+    assert 0 < positive < len(triples)
     report = H.certify_delta(f2_ball6, 1, 7, seed=1, exhaustive_radius=1)
-    assert (report.evaluated, report.skipped) == (5 ** 3 + 7, 0)
-    assert report.to_json()["evaluated"] == 132
+    assert (report.evaluated, report.skipped) == (positive, 0)
+    assert report.to_json()["evaluated"] == positive
 
 
 def test_certify_delta_that_evaluated_nothing_does_not_pass(f2_ball6):

@@ -67,6 +67,17 @@ def test_certify_delta_command(tmp_path):
     assert set(payload) >= {"delta", "samples", "skipped", "max_deviation", "witness", "pass"}
 
 
+def test_certify_delta_that_compares_nothing_is_inconclusive(tmp_path):
+    code, text = run_cli(
+        ["certify-delta", "--group", "free:2", "--radius", "3",
+         "--samples", "0", "--exhaustive-radius", "0"],
+        tmp_path,
+    )
+    assert code == 3
+    payload = json.loads(text)
+    assert payload["evaluated"] == 0 and payload["pass"] is False
+
+
 def test_select_p_command(tmp_path):
     code, text = run_cli(
         ["select-p", "--group", "free:2", "--radius", "5", "--samples", "200", "--seed", "1"],
@@ -218,3 +229,18 @@ def test_report_selects_p_once(tmp_path, monkeypatch):
     assert len(rows) == 3
     assert len(calls) == 1
     assert len({row[2] for row in rows}) == 1
+
+
+def test_non_finite_p_is_a_config_error(tmp_path, capsys):
+    commands = (
+        ["verify", "--group", "zm:2,3", "--radius", "4", "--samples", "50"],
+        ["report", "--group", "zm:2,3", "--radius", "5", "--g-words", "st"],
+        ["cocycle", "--group", "free:2", "--radius", "3", "--g", "ab"],
+        ["chain", "--group", "free:2", "e", "a^12", "--which", "h"],
+    )
+    for i, args in enumerate(commands):
+        for p in ("nan", "inf"):
+            out = tmp_path / f"out{i}{p}"
+            assert main(args + ["--p", p, "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "config error" in capsys.readouterr().err

@@ -8,6 +8,8 @@ import pytest
 import hypaction as H
 from hypaction.errors import ExactnessError, PSelectionError
 
+from line2 import endpoint, line2_ball_json
+
 
 @pytest.fixture(scope="module")
 def f2_cocycle(f2_engine):
@@ -367,6 +369,40 @@ def test_identity_ball_walk_matches_plain_iteration(f2, f2_cocycle):
         assert fast.vertices == plain.vertices
         assert fast.residual_zero == plain.residual_zero
         assert fast.witnesses == plain.witnesses
+
+
+@pytest.mark.parametrize("family", ["free:2", "line2"])
+def test_identity_reports_a_non_associative_product(monkeypatch, family):
+    # break the group law at one product gamma0 * w0, where w0 is a support
+    # point of h_e(gamma0^-1 gk): then (g m) w0 != g (m w0) at gamma0 only
+    if family == "free:2":
+        spec = H.FreeGroupSpec(2)
+        g, k = spec.parse("ab"), spec.parse("aab")
+    else:
+        spec = H.ball_from_json(line2_ball_json(30), delta=1)
+        by_end = {endpoint(w): w for w in H.build_ball(spec, 14).words}
+        g, k = by_end[26], by_end[14]  # gk = 40: f(e, gk) spreads
+    engine = H.ChainEngine(spec)
+    window = H.build_ball(spec, 2)
+    mul, inv_word = spec._mul, spec._inv_word
+    fpoint = engine._f_point_basepoint
+    gk = mul(g, k)
+    gammas = window.words[1:]
+    if family == "line2":
+        # exercise the spread path
+        gammas = [x for x in gammas if isinstance(fpoint(mul(inv_word(x), gk)), dict)]
+    gamma0 = gammas[0]
+    w1 = fpoint(mul(inv_word(gamma0), gk))
+    w0 = min(w1) if isinstance(w1, dict) else w1
+    bad = () if mul(gamma0, w0) else (0,)
+
+    def broken(u, v):
+        return bad if (u, v) == (gamma0, w0) else mul(u, v)
+
+    assert H.Cocycle(engine, 3.0).verify_identity(g, k, window).residual_zero
+    monkeypatch.setattr(spec, "_mul", broken)
+    rep = H.Cocycle(engine, 3.0).verify_identity(g, k, window)
+    assert not rep.residual_zero and rep.witnesses == [gamma0]
 
 
 # ---------------------------------------------------------------- the linear action

@@ -4,7 +4,8 @@ This Cayley graph has genuinely non-unique geodesics (1+2 and 2+1 both
 reach 3), so unlike the built-in families its flowers project to distinct
 points and the averaged chains spread mass: f(e, 40) is (1/2, 1/2) on
 {19, 20}. It is the main exercise of the rational-averaging machinery,
-the non-singleton difference norms, and the grouped identity residuals.
+the non-singleton difference norms, and the identity check at every
+support point of a spread chain.
 """
 
 import random
