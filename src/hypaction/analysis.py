@@ -10,6 +10,7 @@ that the geometric tail of the cocycle norm converges with an explicit bound.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .cayley import CayleyBall, build_ball, gromov_product
@@ -60,10 +61,23 @@ def fit_envelope(samples) -> DecayFit:
     the constant bounded while reporting the fastest decay the data
     supports. Data that is flat up to a cutoff and zero beyond it (the tree
     case) then yields a base strictly below 1 with a moderate constant.
-    The grid scan runs over the distinct positive samples, so order and
+    The constant is taken over the distinct positive samples, so order and
     repeats do not change the fit; ``n_samples`` and ``n_positive`` count all.
+
+    The base is found by bisection over the grid, in eight evaluations of
+    the constant. A Gromov product is never negative, and for x >= 0 the term
+    v * lam^(-x) does not increase with lam, so neither does the constant
+    c(lam): the cap test fails and then holds along the grid, and the first
+    grid value that passes is the one a scan in order would return.
+    Products are half-integers and adjacent grid values differ by at least
+    0.5%, so for x >= 1/2 adjacent constants differ by about 0.25% or more,
+    far above rounding error. A negative product breaks this: FitError. A
+    constant beyond every float fails the cap. If no grid value passes, the
+    loosest one is used; the envelope stays valid.
     """
     pts = [(float(x), float(v)) for x, v in samples]
+    if not all(x >= 0 for x, _ in pts):
+        raise FitError("a Gromov product is never negative; the decay fit needs x >= 0")
     if len({x for x, _ in pts}) < 2:
         raise FitError("decay fit is underdetermined: all Gromov products are equal")
     positive = [(x, v) for x, v in pts if v > 0]
@@ -73,17 +87,19 @@ def fit_envelope(samples) -> DecayFit:
         )
     distinct = sorted(set(positive))  # repeats cannot change a maximum
     cap = _CAP_FACTOR * max(v for _, v in distinct)
-    chosen = None
-    for lam in _LAMBDA_GRID:
-        c = max(v * lam ** (-x) for x, v in distinct)
-        if c <= cap:
-            chosen = (lam, c)
-            break
-    if chosen is None:
-        # fall back to the loosest grid base; the envelope stays valid
-        lam = _LAMBDA_GRID[-1]
-        chosen = (lam, max(v * lam ** (-x) for x, v in distinct))
-    base, constant = chosen[0], chosen[1] * (1.0 + 1e-9)
+
+    def dominating(lam: float) -> float:
+        return max(v * lam ** (-x) for x, v in distinct)
+
+    def within_cap(lam: float) -> bool:
+        try:
+            return dominating(lam) <= cap
+        except OverflowError:  # the constant exceeds every float, and so the cap
+            return False
+
+    i = bisect_left(_LAMBDA_GRID, True, key=within_cap)
+    base = _LAMBDA_GRID[min(i, len(_LAMBDA_GRID) - 1)]
+    constant = dominating(base) * (1.0 + 1e-9)
     if base >= 1.0:
         raise FitError("no decay base below 1 dominates the samples")
     fit = DecayFit(

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -36,7 +37,7 @@ class RunConfig:
     group: str = "free:2"
     radius: int = 6
     delta: int | None = None
-    p: str = "auto"
+    p: str | float = "auto"  # a float after load
     seed: int = 0
     samples: int = 400
     memory_budget_mb: int = 512
@@ -60,6 +61,15 @@ class RunConfig:
             raise ValueError("radius, samples and seed must be nonnegative; budget positive")
         if cfg.delta is not None and cfg.delta < 1:
             raise ValueError("delta must be a positive integer")
+        if cfg.p != "auto":
+            # rejected here, before any command fits or evaluates anything
+            try:
+                p = float(cfg.p)
+            except (TypeError, ValueError):
+                p = math.nan
+            if not 2 <= p < math.inf:
+                raise ValueError(f"p must be 'auto' or a finite number >= 2, not {cfg.p!r}")
+            cfg.p = p
         return cfg
 
     def make_spec(self) -> GroupSpec:
@@ -92,7 +102,7 @@ def _fit_and_select(cfg: RunConfig, engine: ChainEngine, radius: int):
 def _resolve_p(cfg: RunConfig, engine: ChainEngine):
     """(p, fit at p): p selected from fitted decay if 'auto', else (p, None)."""
     if cfg.p != "auto":
-        return float(cfg.p), None
+        return cfg.p, None
     sel, fits = _fit_and_select(cfg, engine, min(cfg.radius, 8))
     return sel.p, fits[sel.p]
 
@@ -211,7 +221,7 @@ def cmd_verify(cfg: RunConfig, exhaustive_radius: int) -> int:
         radius=cfg.radius,
         samples=cfg.samples,
         seed=cfg.seed,
-        p=cfg.p if cfg.p == "auto" else float(cfg.p),
+        p=cfg.p,
         exhaustive_radius=exhaustive_radius,
         max_vertices=cfg.max_vertices(cfg.radius),
     )

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hypaction as H
 from hypaction.analysis import decay_triples, fit_envelope
@@ -93,8 +95,60 @@ def test_envelope_genuine_decay():
     assert all(v <= fit.constant * fit.base ** x for x, v in samples)
 
 
+def test_envelope_rejects_a_negative_gromov_product():
+    # the bisection over the grid needs every lam^(-x) to fall as lam grows
+    with pytest.raises(FitError):
+        fit_envelope([(-1.0, 1.0), (0.0, 1.0), (3.0, 0.5)])
+
+
 def _fit_key(fit):
     return fit.constant, fit.base, fit.n_samples, fit.n_positive
+
+
+def scan_fit(samples):
+    """(constant, base, n_samples, n_positive) of the envelope, by trying
+    every grid base in order over every positive sample, in the given order;
+    a reference for the bisection in fit_envelope."""
+    positive = [(x, v) for x, v in samples if v > 0]
+    if not positive:
+        return 0.0, 0.5, len(samples), 0
+
+    def dominating(lam):
+        try:
+            return max(v * lam ** (-x) for x, v in positive)
+        except OverflowError:  # beyond every float, and so beyond the cap
+            return math.inf
+
+    cap = 32.0 * max(v for _, v in positive)
+    grid = [i / 200.0 for i in range(1, 200)]
+    base = next((lam for lam in grid if dominating(lam) <= cap), grid[-1])
+    return dominating(base) * (1.0 + 1e-9), base, len(samples), len(positive)
+
+
+@st.composite
+def decay_samples(draw):
+    """Half-integer products in [0, 60] with values r^x * u >= 0, zeros
+    included; r spreads the answer over the grid."""
+    r = draw(st.floats(0.01, 1.0))
+    scale = draw(st.floats(1e-3, 1e3))
+    xs = draw(st.lists(st.integers(0, 120), min_size=2, max_size=30))
+    us = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0),
+                       min_size=len(xs), max_size=len(xs)))
+    return [(k / 2, scale * r ** (k / 2) * u) for k, u in zip(xs, us)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(decay_samples())
+@example([(0.0, 2.0), (5.0, 0.0), (9.5, 0.0)])  # the first grid base, 0.005
+@example([(0.0, 1.0), (200.0, 1.0)])  # 0.005^-200 is beyond every float
+@example([(0.0, 1.0), (2000.0, 1.0)])  # no grid base passes: the last, 0.995
+@example([(0.0, 0.0), (1.0, 0.0)])  # no positive value
+def test_envelope_search_equals_the_scan(samples):
+    if len({x for x, _ in samples}) < 2:
+        with pytest.raises(FitError):
+            fit_envelope(samples)
+        return
+    assert _fit_key(fit_envelope(samples)) == scan_fit(samples)
 
 
 @pytest.mark.parametrize("spec_name", ["f2", "z23"])
@@ -109,13 +163,7 @@ def test_envelope_ignores_order_and_repeats(spec_name, request):
     random.Random(9).shuffle(copy)
     once, twice = fit_envelope(samples), fit_envelope(copy)
     assert _fit_key(twice) == (once.constant, once.base, 2 * once.n_samples, 2 * once.n_positive)
-    # against the scan over every positive sample, in the given order
-    positive = [(x, v) for x, v in copy if v > 0]
-    cap = 32.0 * max(v for _, v in positive)
-    base = next(lam for lam in (i / 200.0 for i in range(1, 200))
-                if max(v * lam ** (-x) for x, v in positive) <= cap)
-    constant = max(v * base ** (-x) for x, v in positive) * (1.0 + 1e-9)
-    assert _fit_key(twice) == (constant, base, len(copy), len(positive))
+    assert _fit_key(twice) == scan_fit(copy)
 
 
 def test_fit_f_decay_free(f2_engine, f2_ball6):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hypaction.cli import RunConfig, main
 
 
@@ -231,16 +233,76 @@ def test_report_selects_p_once(tmp_path, monkeypatch):
     assert len({row[2] for row in rows}) == 1
 
 
-def test_non_finite_p_is_a_config_error(tmp_path, capsys):
+def test_non_finite_p_is_a_config_error(tmp_path, capsys, monkeypatch):
+    from hypaction import analysis
+
+    # a bad p is rejected as the config loads, before any decay is fitted
+    fitted = []
+    monkeypatch.setattr(analysis, "rho_fitter", lambda *args: fitted.append(args))
     commands = (
         ["verify", "--group", "zm:2,3", "--radius", "4", "--samples", "50"],
         ["report", "--group", "zm:2,3", "--radius", "5", "--g-words", "st"],
         ["cocycle", "--group", "free:2", "--radius", "3", "--g", "ab"],
         ["chain", "--group", "free:2", "e", "a^12", "--which", "h"],
+        ["chain", "--group", "free:2", "e", "a^12", "--which", "f"],
+        ["select-p", "--group", "zm:2,3", "--radius", "4"],
     )
     for i, args in enumerate(commands):
-        for p in ("nan", "inf"):
+        for p in ("nan", "inf", "1.5"):
             out = tmp_path / f"out{i}{p}"
             assert main(args + ["--p", p, "--out", str(out)]) == 2
             assert not out.exists()
             assert "config error" in capsys.readouterr().err
+    for i, p in enumerate(("inf", None, "two")):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps({"group": "zm:2,3", "radius": 5, "p": p}))
+        out = tmp_path / f"cfg_out{i}"
+        assert main(commands[1] + ["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+    assert fitted == []
+
+
+def test_finite_p_from_two_up_is_accepted(tmp_path):
+    assert RunConfig.load(None, {"p": "2"}).p == 2.0
+    assert RunConfig.load(None, {"p": "3.5"}).p == 3.5
+    assert RunConfig.load(None, {"p": "auto"}).p == "auto"
+    for p in ("2", "3.5", "auto"):
+        code, text = run_cli(["chain", "--group", "free:2", "e", "a^12", "--which", "h",
+                              "--p", p], tmp_path)
+        assert code == 0
+        assert json.loads(text)["p"] == (8.0 if p == "auto" else float(p))
+
+
+# the (p, rho) candidates select_p scans and the p it chooses on two command
+# lines: a change to the decay fit that moves a selection fails here. rho is a
+# grid value i / 200, so the pins do not depend on the platform's libm
+PINNED_SELECTIONS = {
+    "free2-report": (
+        ["report", "--group", "free:2", "--p", "auto", "--samples", "200",
+         "--powers", "a:1:2", "--g-words", "BABABa,AAAbbbAb"],
+        [(k / 10, 0.685) for k in range(20, 81)], 8.0),
+    "zm23-select-p": (
+        ["select-p", "--group", "zm:2,3", "--radius", "8", "--samples", "2000", "--seed", "1"],
+        [(k / 10, 0.695) for k in range(20, 78)], 7.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SELECTIONS))
+def test_pinned_selections(name, tmp_path, monkeypatch):
+    from hypaction import analysis
+
+    argv, candidates, chosen = PINNED_SELECTIONS[name]
+    selections = []
+    select_p = analysis.select_p
+
+    def recording_select_p(*args):
+        selections.append(select_p(*args))
+        return selections[-1]
+
+    monkeypatch.setattr(analysis, "select_p", recording_select_p)
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 0
+    (sel,) = selections
+    assert [(c["p"], c["rho"]) for c in sel.candidates] == candidates
+    assert sel.p == chosen
