@@ -67,24 +67,16 @@ class Bicombing:
 
     def q_path(self, a: Word, b: Word) -> GeodesicPath:
         """Geodesic vertex sequence from a to b; q_path(a, a) is (a,)."""
-        spec = self.spec
-        spec.validate_word(a)
-        spec.validate_word(b)
-        base = self.path_from_identity(spec._mul(spec._inv_word(a), b))
+        base = self.path_from_identity(self.spec.offset(a, b))
         if not a:
             return base
-        mul = spec._mul
+        mul = self.spec._mul
         return tuple(mul(a, w) for w in base)
 
     def q_point(self, a: Word, b: Word, t: int) -> Word:
         """The vertex of q[a, b] at distance t from a."""
-        spec = self.spec
-        spec.validate_word(a)
-        spec.validate_word(b)
-        base = self.path_from_identity(spec._mul(spec._inv_word(a), b))
-        if not 0 <= t < len(base):
-            raise ValueError(f"t={t} is outside 0..{len(base) - 1}")
-        return spec._mul(a, base[t]) if a else base[t]
+        point = self.point_from_identity(self.spec.offset(a, b), t)
+        return self.spec._mul(a, point) if a else point
 
     def point_from_identity(self, x: Word, t: int) -> Word:
         if not 0 <= t <= len(x):

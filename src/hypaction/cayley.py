@@ -15,18 +15,22 @@ class CayleyBall:
     """The ball B(e, R): vertices in breadth-first order with dense handles.
 
     Immutable after construction; queries are pure. ``words[h]`` is the
-    normal form of vertex handle h and ``dist[h]`` its distance from the
-    identity.
+    normal form of vertex handle h, ``index`` maps it back to h and
+    ``dist[h]`` is its distance from the identity. ``parent_letters[h]`` is
+    the edge of the search tree that first reached h, (parent handle,
+    generator); normal forms are prefix-closed, so ``words[h]`` is the
+    parent's word followed by that generator. Entry 0 is (-1, -1).
     """
 
-    def __init__(self, spec: GroupSpec, radius: int, words, dist, layer_bounds):
+    def __init__(self, spec: GroupSpec, radius: int, words, index, dist, parent_letters,
+                 layer_bounds):
         self.spec = spec
         self.radius = radius
         self.words: list[Word] = words
-        self.index: dict[Word, int] = {w: i for i, w in enumerate(words)}
+        self.index: dict[Word, int] = index
         self.dist: list[int] = dist
+        self.parent_letters: list[tuple[int, int]] = parent_letters
         self._layer_bounds = layer_bounds
-        self._parents: list[tuple[int, int]] | None = None
 
     def __len__(self):
         return len(self.words)
@@ -39,18 +43,6 @@ class CayleyBall:
 
     def layer_sizes(self) -> list[int]:
         return [self._layer_bounds[r + 1] - self._layer_bounds[r] for r in range(self.radius + 1)]
-
-    @property
-    def parent_letters(self) -> list[tuple[int, int]]:
-        """(parent handle, last letter) per vertex; canonical words are
-        prefix-closed, so the parent of w is w[:-1]. Entry 0 is (-1, -1)."""
-        if self._parents is None:
-            index = self.index
-            out = [(-1, -1)]
-            for w in self.words[1:]:
-                out.append((index[w[:-1]], w[-1]))
-            self._parents = out
-        return self._parents
 
     def walk(self, start: Word, right: bool = False) -> list[Word]:
         """``gamma^-1 start`` for every vertex gamma, or ``start gamma`` when
@@ -82,24 +74,22 @@ def build_ball(spec: GroupSpec, radius: int, max_vertices: int | None = None) ->
     words: list[Word] = [()]
     dist = [0]
     index: dict[Word, int] = {(): 0}
+    parents = [(-1, -1)]
     layer_bounds = [0, 1]
-    frontier = [()]
     for r in range(1, radius + 1):
-        nxt: list[Word] = []
-        for w in frontier:
-            for _, nb in spec.neighbors(w):
+        for h in range(layer_bounds[-2], layer_bounds[-1]):
+            for gi, nb in spec.neighbors(words[h]):
                 if nb not in index:
                     index[nb] = len(words)
                     words.append(nb)
                     dist.append(r)
-                    nxt.append(nb)
+                    parents.append((h, gi))
                     if max_vertices is not None and len(words) > max_vertices:
                         raise ResourceBudgetError(
                             f"ball exceeds the budget of {max_vertices} vertices at radius {r}"
                         )
         layer_bounds.append(len(words))
-        frontier = nxt
-    return CayleyBall(spec, radius, words, dist, layer_bounds)
+    return CayleyBall(spec, radius, words, index, dist, parents, layer_bounds)
 
 
 def ball_to_json(spec: GroupSpec, radius: int) -> dict:
@@ -119,9 +109,7 @@ def ball_to_json(spec: GroupSpec, radius: int) -> dict:
 
 def distance(spec: GroupSpec, a: Word, b: Word) -> int:
     """Word metric d(a, b), computed left-invariantly as |a^-1 b|."""
-    spec.validate_word(a)
-    spec.validate_word(b)
-    return len(spec._mul(spec._inv_word(a), b))
+    return len(spec.offset(a, b))
 
 
 def gromov_product(spec: GroupSpec, a: Word, b: Word, c: Word) -> Fraction:

@@ -48,6 +48,8 @@ class RunConfig:
         data: dict = {}
         if path:
             data = json.loads(Path(path).read_text())
+            if not isinstance(data, dict):
+                raise ValueError(f"a config file holds a JSON object, not {data!r}")
             unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:
                 raise ValueError(f"unknown config fields: {sorted(unknown)}")

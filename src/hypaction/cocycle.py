@@ -247,12 +247,11 @@ class Cocycle:
         d(gamma, e) and d(gamma, g) at least 10*delta; under that
         precondition a False return is a bug witness, not a valid outcome.
         """
-        spec = self.spec
         ten = self.engine.ten_delta
         path = self.engine.q.q_path(g, ())
         if gamma not in path:
             raise ValueError("gamma must lie on the geodesic q[g, e]")
-        if len(gamma) < ten or len(spec._mul(spec._inv_word(gamma), g)) < ten:
+        if len(gamma) < ten or len(self.spec.offset(gamma, g)) < ten:
             raise ValueError("gamma must be at least 10*delta from both endpoints")
         f1 = self.engine.f_chain(gamma, g)
         f2 = self.engine.f_chain(gamma, ())

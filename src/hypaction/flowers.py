@@ -10,13 +10,14 @@ exact rational convex combination supported on S(a, 10*delta).
 
 All recursion runs at the identity: equivariance gives
 f(a, b) = a . f(e, a^-1 b) and Fl(v, w) = v . Fl(e, v^-1 w), so one routine
-lists flower members, and the literal oracle translates what it lists. It
-lists Fl(e, x) as x first, then every x u of length |x| for u in
-B(e, delta) \\ {e}, in the breadth-first order of u; averaged chains are
-built in that order. The memo holds exactly the averaging nodes whose chain
-has at least two support points, whoever asks for them: every key above
-such a node shares it. Point masses are never stored, so on the built-in
-families, where every chain is a point mass, the memo stays empty.
+lists flower members, and the literal oracle translates what it lists and
+retracts through ``project``. It lists Fl(e, x) as x first, then every
+x u of length |x| for u in B(e, delta) \\ {e}, in the breadth-first order
+of u; averaged chains are built in that order. The memo holds exactly the
+averaging nodes whose chain has at least two support points, whoever asks
+for them: every key above such a node shares it. Point masses are never
+stored, so on the built-in families, where every chain is a point mass,
+the memo stays empty.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 
 from .bicombing import Bicombing
 from .cayley import build_ball
-from .chains import Chain, as_chain, norm_p
+from .chains import Chain, as_chain, norm_p, translate
 from .errors import ExactnessError
 from .groups import GroupSpec, Word
 
@@ -84,11 +85,9 @@ class ChainEngine:
     def flower(self, v: Word, w: Word) -> tuple[Word, ...]:
         """Fl(v, w) = S(v, d(v, w)) /\\ B(w, delta) = v . Fl(e, v^-1 w), sorted; never empty."""
         spec = self.spec
-        spec.validate_word(v)
-        spec.validate_word(w)
+        x = spec.offset(v, w)
         self._require_margin(w, spec.delta)
-        members = self._flower_members_from_identity(spec._mul(spec._inv_word(v), w))
-        return tuple(sorted(spec._mul(v, y) for y in members))
+        return tuple(sorted(spec._mul(v, y) for y in self._flower_members_from_identity(x)))
 
     def _flower_members_from_identity(self, x: Word) -> list[Word]:
         """Fl(e, x): x, then the words x u with u in B(e, delta) \\ {e} and
@@ -105,30 +104,20 @@ class ChainEngine:
     def project(self, a: Word, b: Word) -> Word:
         """pr_a(b): the bicombing point at the largest multiple of 10*delta
         strictly below d(a, b); pr_a(a) = a."""
-        spec = self.spec
-        spec.validate_word(a)
-        spec.validate_word(b)
-        x = spec._mul(spec._inv_word(a), b)
+        x = self.spec.offset(a, b)
         if not x:
             return a
         t = ((len(x) - 1) // self.ten_delta) * self.ten_delta
         p = self.q.point_from_identity(x, t)
-        return spec._mul(a, p) if a else p
+        return self.spec._mul(a, p) if a else p
 
     # -- the recursive chain -------------------------------------------------
 
     def f_chain(self, a: Word, b: Word) -> Chain:
         """The convex-combination chain f(a, b), exact rational coefficients."""
-        spec = self.spec
-        spec.validate_word(a)
-        spec.validate_word(b)
-        x = spec._mul(spec._inv_word(a), b)
-        self._require_margin(a, len(x) + spec.delta)
-        base = self._f_basepoint(x)
-        if not a:
-            return dict(base)
-        mul = spec._mul
-        return {mul(a, w): c for w, c in base.items()}
+        x = self.spec.offset(a, b)
+        self._require_margin(a, len(x) + self.spec.delta)
+        return translate(self.spec, a, self._f_basepoint(x))
 
     def _f_basepoint(self, x: Word) -> Chain:
         return as_chain(self._f_point_basepoint(x))
@@ -180,10 +169,7 @@ class ChainEngine:
         """The same recursion run verbatim at base a, without the identity
         shortcut or the shared cache. Slow; used for cross-validation."""
         spec = self.spec
-        spec.validate_word(a)
-        spec.validate_word(b)
-        dab = len(spec._mul(spec._inv_word(a), b))
-        self._require_margin(a, dab + spec.delta)
+        self._require_margin(a, len(spec.offset(a, b)) + spec.delta)
         ten = self.ten_delta
         memo: dict[Word, Chain] = {}
 
@@ -194,18 +180,18 @@ class ChainEngine:
             d = len(spec._mul(spec._inv_word(a), bb))
             if d <= ten:
                 out: Chain = {bb: Fraction(1)}
+            elif d % ten:
+                out = rec(self.project(a, bb))
             else:
-                t = ((d - 1) // ten) * ten
-                if d % ten:
-                    out = rec(self.q.q_point(a, bb, t))
-                else:
-                    members = self.flower(a, bb)
-                    share = Fraction(1, len(members))
-                    acc: dict[Word, Fraction] = {}
-                    for y in members:
-                        for w, c in rec(self.q.q_point(a, y, t)).items():
-                            acc[w] = acc.get(w, 0) + c
-                    out = {w: share * c for w, c in acc.items()}
+                # every flower member lies at distance d from a, so it
+                # retracts to the same depth as bb
+                members = self.flower(a, bb)
+                share = Fraction(1, len(members))
+                acc: dict[Word, Fraction] = {}
+                for y in members:
+                    for w, c in rec(self.project(a, y)).items():
+                        acc[w] = acc.get(w, 0) + c
+                out = {w: share * c for w, c in acc.items()}
             memo[bb] = out
             return out
 
@@ -217,8 +203,9 @@ class ChainEngine:
         """h(b, a) = f(b, a) / ||f(b, a)||_p, kept as f plus its normalizer."""
         if not 2 <= p < math.inf:
             raise ValueError(f"the normalized chains are defined for finite p >= 2, not {p}")
+        # f is a convex combination, never the zero chain
         f = self.f_chain(b, a)
-        return normalize(f, p)
+        return NormalizedChain(f=f, p=float(p), norm=norm_p(f, p))
 
     # -- helpers ---------------------------------------------------------------
 
@@ -229,9 +216,3 @@ class ChainEngine:
                 f"computation reaches distance {len(base) + reach} but the spec only "
                 f"represents words up to length {spec.max_word_length}"
             )
-
-
-def normalize(f: Chain, p: float) -> NormalizedChain:
-    if not f:
-        raise ValueError("cannot normalize the zero chain")
-    return NormalizedChain(f=f, p=float(p), norm=norm_p(f, p))

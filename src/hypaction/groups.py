@@ -5,7 +5,9 @@ element it stands for: a tuple of generator indices (``Word``). The empty
 tuple is the identity. A :class:`GroupSpec` owns the generating set and
 provides multiplication, inversion, geodesic word length, parsing and
 printing. Each family has one product routine, ``_mul``, for one-letter and
-long words alike. Three families are supported:
+long words alike, and every two-point quantity is computed at the identity
+from the one validated word ``offset(a, b)`` = a^-1 b. Three families are
+supported:
 
 * free groups of finite rank,
 * free products of finite cyclic groups, generated by all nontrivial powers
@@ -38,7 +40,7 @@ from .errors import (
 
 Word = tuple[int, ...]
 
-_TOKEN_RE = re.compile(r"\^(-?\d+)$")
+_EXPONENT_RE = re.compile(r"\^(-?\d+)")
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,11 @@ class GroupSpec:
         self._by_label = {g.label: g.index for g in self.generators}
         if len(self._by_label) != n:
             raise ValueError("generator labels must be distinct")
+        if "1" in self._by_label:
+            raise ValueError("the label '1' is reserved for the identity")
         self._labels_desc = sorted(self._by_label, key=len, reverse=True)
+        # the identity is spelled 'e' unless a generator has that label
+        self.identity_label = "1" if "e" in self._by_label else "e"
 
     # -- group law ---------------------------------------------------------
 
@@ -93,6 +99,13 @@ class GroupSpec:
     def invert(self, u: Word) -> Word:
         self.validate_word(u)
         return self._inv_word(u)
+
+    def offset(self, a: Word, b: Word) -> Word:
+        """Normal form of a^-1 b, after validating a and b. Left-invariance
+        gives every two-point quantity from it: f(a, b) = a . f(e, a^-1 b)."""
+        self.validate_word(a)
+        self.validate_word(b)
+        return self._mul(self._inv_word(a), b)
 
     def word_length(self, u: Word) -> int:
         """Geodesic distance from the identity (the word metric)."""
@@ -123,50 +136,39 @@ class GroupSpec:
     # -- text --------------------------------------------------------------
 
     def parse(self, text: str) -> Word:
-        """Parse a word like 'abA', 's t^2 s' or 'a^-3' into a normal form."""
+        """Parse a word like 'abA', 's t^2 s' or 'a^-3' into a normal form.
+
+        Each token is the longest generator label at its position, then an
+        optional exponent '^k'. The empty text, '1' and the identity label
+        are the identity.
+        """
         text = text.strip()
-        if text in ("", "e", "1"):
+        if text in ("", "1", self.identity_label):
             return ()
+        mul = self._mul
         out: Word = ()
         for chunk in text.split():
-            for token in self._scan(chunk):
-                out = self._mul(out, self._parse_token(token))
+            pos = 0
+            while pos < len(chunk):
+                label = next((x for x in self._labels_desc if chunk.startswith(x, pos)), None)
+                if label is None:
+                    raise SpecMismatchError(f"cannot parse {chunk!r} at position {pos}")
+                pos += len(label)
+                token: Word = (self._by_label[label],)
+                m = _EXPONENT_RE.match(chunk, pos)
+                if m:
+                    pos = m.end()
+                    exp = int(m.group(1))
+                    letter = token if exp >= 0 else (self._inv[token[0]],)
+                    token = ()
+                    for _ in range(abs(exp)):
+                        token = mul(token, letter)
+                out = mul(out, token)
         return out
-
-    def _scan(self, text: str) -> list[str]:
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            for label in self._labels_desc:
-                if text.startswith(label, pos):
-                    end = pos + len(label)
-                    m = re.match(r"\^-?\d+", text[end:])
-                    if m:
-                        end += m.end()
-                    tokens.append(text[pos:end])
-                    pos = end
-                    break
-            else:
-                raise SpecMismatchError(f"cannot parse {text!r} at position {pos}")
-        return tokens
-
-    def _parse_token(self, token: str) -> Word:
-        if token in self._by_label:
-            return (self._by_label[token],)
-        m = _TOKEN_RE.search(token)
-        if m and token[: m.start()] in self._by_label:
-            idx = self._by_label[token[: m.start()]]
-            exp = int(m.group(1))
-            letter = (idx,) if exp >= 0 else (self._inv[idx],)
-            out: Word = ()
-            for _ in range(abs(exp)):
-                out = self._mul(out, letter)
-            return out
-        raise SpecMismatchError(f"unknown generator token {token!r}")
 
     def label_word(self, u: Word) -> str:
         if not u:
-            return "e"
+            return self.identity_label
         labels = [self.generators[x].label for x in u]
         if all(len(g.label) == 1 for g in self.generators):
             return "".join(labels)
@@ -238,29 +240,24 @@ class FreeProductSpec(GroupSpec):
         if len(orders) > 8:
             raise ValueError("at most 8 cyclic factors are supported")
         letters = "stuvwxyz"
+        # s_f^p is generator first[f] + p - 1
         gens: list[Generator] = []
+        first: list[int] = []
         factor_of: list[int] = []
         power_of: list[int] = []
-        gen_index: list[dict[int, int]] = []
-        idx = 0
         for f, m in enumerate(orders):
-            base = idx
-            table: dict[int, int] = {}
+            first.append(len(gens))
             for p in range(1, m):
                 label = letters[f] if p == 1 else f"{letters[f]}^{p}"
-                inv_idx = base + (m - p) - 1
-                gens.append(Generator(idx, label, inv_idx))
+                gens.append(Generator(len(gens), label, first[f] + (m - p) - 1))
                 factor_of.append(f)
                 power_of.append(p)
-                table[p] = idx
-                idx += 1
-            gen_index.append(table)
         name = "zm:" + ",".join(str(m) for m in orders)
         super().__init__(tuple(gens), delta, name)
         self.orders = tuple(int(m) for m in orders)
+        self._first = tuple(first)
         self._factor = tuple(factor_of)
         self._power = tuple(power_of)
-        self._gen_index = gen_index
         # only involutions keep the Cayley graph a tree
         self.exact_tree = self.delta == 1 and all(m == 2 for m in self.orders)
 
@@ -280,7 +277,7 @@ class FreeProductSpec(GroupSpec):
             f = factor[v[j]]
             p = (power[u[i]] + power[v[j]]) % orders[f]
             if p:
-                return u[:i] + (self._gen_index[f][p],) + v[j + 1:]
+                return u[:i] + (self._first[f] + p - 1,) + v[j + 1:]
             i -= 1
             j += 1
             if i < 0 or j == len(v) or factor[u[i]] != factor[v[j]]:
@@ -364,9 +361,7 @@ class ExplicitBallSpec(GroupSpec):
         return self._vertex_word[self._walk(vid, v)]
 
     def _inv_word(self, u: Word) -> Word:
-        inv = self._inv
-        letters = tuple(inv[x] for x in reversed(u))
-        return self._vertex_word[self._walk(self._word_vertex[()], letters)]
+        return self._mul(GroupSpec._inv_word(self, u), ())
 
     def neighbors(self, u: Word):
         for gi, nb in enumerate(self._adj[self._word_vertex[u]]):
@@ -445,11 +440,11 @@ def spec_from_descriptor(descriptor: str, delta: int | None = None) -> GroupSpec
     of cyclic groups of those orders, ``ball:PATH`` an explicit ball file.
     """
     kind, _, rest = descriptor.partition(":")
+    delta = 1 if delta is None else delta
     if kind == "free":
-        return FreeGroupSpec(int(rest), delta=delta or 1)
+        return FreeGroupSpec(int(rest), delta=delta)
     if kind == "zm":
-        orders = tuple(int(x) for x in rest.split(","))
-        return FreeProductSpec(orders, delta=delta or 1)
+        return FreeProductSpec(tuple(int(x) for x in rest.split(",")), delta=delta)
     if kind == "ball":
-        return load_ball_file(rest, delta=delta or 1)
+        return load_ball_file(rest, delta=delta)
     raise ValueError(f"unknown group descriptor {descriptor!r}")

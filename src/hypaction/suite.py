@@ -169,8 +169,9 @@ def run_suite(
     pairs = (_sample(rng, words, 2) for _ in range(max(10, samples // 10)))
     checks.append(_sampled_check("h-normalization", pairs, normalization_witness))
 
-    # 7. decay fits and exponent selection
+    # 7. decay fits and exponent selection; with no samples nothing is fitted
     selection = None
+    fit_passed, fit_details = False, {"evaluated": 0}
     if samples > 0:
         try:
             f_fit = analysis.fit_f_decay(engine, ball, samples, seed * 13 + 7)
@@ -191,9 +192,9 @@ def run_suite(
                 and selection.rho_used ** selection.p * ups < 0.5
             )
         except (FitError, PSelectionError) as exc:
-            fit_passed = False
             fit_details = {"error": str(exc)}
-        checks.append(CheckResult("decay-and-p-selection", fit_passed, fit_details))
+    checks.append(CheckResult("decay-and-p-selection", fit_passed, fit_details,
+                              inconclusive=samples == 0))
 
     # 8. cocycle identity over a small window
     p_run = selection.p if (p == "auto" and selection is not None) else p_probe

@@ -7,6 +7,8 @@ import pytest
 
 import hypaction as H
 
+from line2 import line2_ball_json
+
 
 def test_path_examples(f2, z23):
     q = H.Bicombing(f2)
@@ -26,6 +28,24 @@ def test_q_point_range(f2):
         q.q_point((), f2.parse("ab"), 3)
     with pytest.raises(ValueError):
         q.q_point((), f2.parse("ab"), -1)
+
+
+@pytest.mark.parametrize("descriptor", ["free:2", "zm:2,3", "line2"])
+def test_q_point_is_the_point_of_q_path(descriptor):
+    if descriptor == "line2":
+        spec = H.ball_from_json(line2_ball_json(30))
+    else:
+        spec = H.spec_from_descriptor(descriptor)
+    q = H.Bicombing(spec)
+    words = H.build_ball(spec, 5).words
+    rng = random.Random(7)
+    for _ in range(60):
+        a, b = rng.choice(words), rng.choice(words)
+        path = q.q_path(a, b)
+        assert [q.q_point(a, b, t) for t in range(len(path))] == list(path)
+        for t in (-1, len(path)):
+            with pytest.raises(ValueError, match=f"t={t} is outside 0..{len(path) - 1}"):
+                q.q_point(a, b, t)
 
 
 def test_geodesy(z23, z23_ball6):

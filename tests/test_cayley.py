@@ -9,6 +9,8 @@ import hypaction as H
 from hypaction.errors import OutOfWindowError, ResourceBudgetError
 from hypaction.suite import run_suite
 
+from line2 import line2_ball_json
+
 
 def test_ball_counts(f2, z23):
     assert len(H.build_ball(f2, 2)) == 17
@@ -157,13 +159,18 @@ def test_exhaustive_sweep_reaches_three_times_its_radius(r):
         assert deepest[0] == 3 * swept
 
 
-def test_parent_letters(f2_ball6):
-    parents = f2_ball6.parent_letters
-    for h in range(1, len(f2_ball6.words)):
-        par, letter = parents[h]
-        w = f2_ball6.words[h]
-        assert f2_ball6.words[par] == w[:-1]
-        assert letter == w[-1]
+def test_parent_letters(f2_ball6, z23_ball6):
+    # the search tree edge that first reached a vertex spells its last letter
+    line2 = H.build_ball(H.ball_from_json(line2_ball_json(30)), 30)
+    for ball in (f2_ball6, z23_ball6, line2):
+        assert ball.parent_letters[0] == (-1, -1)
+        assert len(ball.parent_letters) == len(ball.words) == len(ball.index)
+        for h in range(1, len(ball.words)):
+            par, letter = ball.parent_letters[h]
+            w = ball.words[h]
+            assert ball.words[par] == w[:-1]
+            assert letter == w[-1]
+            assert ball.index[w] == h and ball.dist[par] == ball.dist[h] - 1
 
 
 def test_adjacency_symmetric(z23, z23_ball6):

@@ -181,6 +181,27 @@ def test_config_validation(tmp_path):
     assert main(["ball", "--config", str(ugly)]) == 2
 
 
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    for i, text in enumerate(("3", "null", '["radius"]')):
+        path = tmp_path / f"top{i}.json"
+        path.write_text(text)
+        assert main(["ball", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_verify_without_samples_lists_the_fit_as_inconclusive(tmp_path):
+    code, text = run_cli(["verify", "--group", "free:2", "--radius", "2", "--samples", "0"],
+                         tmp_path)
+    assert code == 3
+    report = json.loads(text)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert len(report["checks"]) == 9
+    fit = checks["decay-and-p-selection"]
+    assert fit["inconclusive"] and not fit["passed"]
+    assert fit["details"] == {"evaluated": 0}
+    assert "decay-and-p-selection" in report["inconclusive"]
+
+
 def test_config_fields_must_be_integers(tmp_path, capsys):
     for i, field in enumerate(({"radius": "5"}, {"samples": 2.5}, {"seed": True})):
         path = tmp_path / f"typed{i}.json"

@@ -59,8 +59,18 @@ def test_parse_forms(f2, z23):
     assert f2.parse("e") == ()
     assert f2.parse("ab BA") == ()
     assert z23.parse("s t^2 s") == z23.parse("st^2s")
-    with pytest.raises(SpecMismatchError):
-        f2.parse("xyz?")
+    # an exponent follows the longest label: on Z/5 * Z/2, s^3 is a label of
+    # its own and s^2^3 is (s^2)^3 = s; on Z/2 * Z/3, s^2 is no label
+    z52 = H.FreeProductSpec((5, 2))
+    assert z52.parse("s^3") == (2,)
+    assert z52.parse("s^2^3") == z52.parse("s")
+    assert z52.parse("s^2^-1") == z52.parse("s^3")
+    assert z23.parse("t^2^2") == z23.parse("t")
+    assert f2.parse("b a^0 B") == ()
+    for spec, text in ((f2, "xyz?"), (f2, "a^"), (f2, "a^-"), (f2, "a^ 2"), (f2, "^2"),
+                       (z23, "s^2^3")):
+        with pytest.raises(SpecMismatchError):
+            spec.parse(text)
 
 
 def test_label_round_trip(f2, z23, f2_ball3):
@@ -68,6 +78,49 @@ def test_label_round_trip(f2, z23, f2_ball3):
         assert f2.parse(f2.label_word(w)) == w
     for w in H.build_ball(z23, 4).words:
         assert z23.parse(z23.label_word(w)) == w
+
+
+def test_identity_is_spelled_one_where_a_generator_is_e():
+    f4, f5 = H.FreeGroupSpec(4), H.FreeGroupSpec(5)
+    assert f4.label_word(()) == "e" and f4.parse("e") == ()
+    # from rank 5 on, e is the generator with index 8
+    assert f5.label_word(()) == "1"
+    assert f5.parse("e") == (8,) and f5.label_word((8,)) == "e"
+    assert f5.parse("1") == () == f5.parse("")
+    assert f5.parse("e^-2 E") == (9, 9, 9)
+    for w in H.build_ball(f5, 2).words:
+        assert f5.parse(f5.label_word(w)) == w
+
+
+def test_ball_file_with_a_generator_labelled_e():
+    data = H.ball_to_json(H.FreeProductSpec((2, 3)), 3)
+    data["generators"][0]["label"] = "e"  # s, an involution
+    spec = H.ball_from_json(data)
+    assert spec.label_word(()) == "1"
+    assert spec.parse("e") == (0,)
+    assert spec.parse("ee") == () == spec.parse("1")
+    for w in H.build_ball(spec, 3).words:
+        assert spec.parse(spec.label_word(w)) == w
+    data["generators"][0]["label"] = "1"
+    with pytest.raises(ValueError, match="reserved for the identity"):
+        H.ball_from_json(data)
+
+
+@pytest.mark.parametrize("descriptor", ["free:2", "zm:2,3", "zm:3,4", "ball"])
+def test_offset_is_the_validated_inverse_product(descriptor):
+    if descriptor == "ball":
+        spec = H.ball_from_json(H.ball_to_json(H.FreeProductSpec((2, 3)), 6))
+        words = H.build_ball(spec, 3).words
+    else:
+        spec = H.spec_from_descriptor(descriptor)
+        words = H.build_ball(spec, 3).words
+    for a, b in itertools.product(words[:40], words):
+        assert spec.offset(a, b) == spec.multiply(spec.invert(a), b)
+    # a word that is not a normal form is refused in either place
+    bad = {"free:2": (0, 1), "zm:2,3": (1, 2), "zm:3,4": (0, 1), "ball": (0, 9)}[descriptor]
+    for a, b in ((bad, ()), ((), bad), (words[5], bad)):
+        with pytest.raises(SpecMismatchError):
+            spec.offset(a, b)
 
 
 def test_group_laws_exhaustive_radius_3(f2, f2_ball3):
@@ -320,11 +373,20 @@ def test_ball_file_errors(f2):
         H.ball_from_json(badradius)
 
 
-def test_descriptor_parsing():
+def test_descriptor_parsing(tmp_path):
     assert H.spec_from_descriptor("free:2").name == "free:2"
     assert H.spec_from_descriptor("zm:2,3").orders == (2, 3)
     with pytest.raises(ValueError):
         H.spec_from_descriptor("dihedral:7")
+    # delta defaults to 1 and is otherwise passed on, 0 included
+    assert H.spec_from_descriptor("free:2").delta == 1
+    assert H.spec_from_descriptor("zm:2,3", delta=None).delta == 1
+    assert H.spec_from_descriptor("free:2", delta=2).delta == 2
+    ball = tmp_path / "f2r2.json"
+    ball.write_text(json.dumps(H.ball_to_json(H.FreeGroupSpec(2), 2)))
+    for descriptor in ("free:2", "zm:2,3", f"ball:{ball}"):
+        with pytest.raises(ValueError, match="delta"):
+            H.spec_from_descriptor(descriptor, delta=0)
 
 
 @pytest.mark.parametrize("spec, exact", [

@@ -61,6 +61,15 @@ def test_group_laws(engine, data):
 
 @PROPERTY
 @given(data=st.data())
+def test_offset_is_left_invariant(engine, data):
+    spec = engine.spec
+    g, a, b = draw_words(data, spec, 3)
+    assert spec.offset(spec.multiply(g, a), spec.multiply(g, b)) == spec.offset(a, b)
+    assert spec.multiply(a, spec.offset(a, b)) == b
+
+
+@PROPERTY
+@given(data=st.data())
 def test_bicombing_geodesic_and_equivariant(engine, data):
     spec, q = engine.spec, engine.q
     g, a, b = draw_words(data, spec, 3)
