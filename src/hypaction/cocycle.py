@@ -248,11 +248,13 @@ class Cocycle:
         precondition a False return is a bug witness, not a valid outcome.
         """
         ten = self.engine.ten_delta
-        path = self.engine.q.q_path(g, ())
-        if gamma not in path:
+        if gamma not in self.engine.q.q_path(g, ()):
             raise ValueError("gamma must lie on the geodesic q[g, e]")
         if len(gamma) < ten or len(self.spec.offset(gamma, g)) < ten:
             raise ValueError("gamma must be at least 10*delta from both endpoints")
+        return self._disjoint_supports(g, gamma)
+
+    def _disjoint_supports(self, g: Word, gamma: Word) -> bool:
         f1 = self.engine.f_chain(gamma, g)
         f2 = self.engine.f_chain(gamma, ())
         return not (f1.keys() & f2.keys())
@@ -266,8 +268,10 @@ class Cocycle:
         the geodesic q[g, e].
         """
         ten = self.engine.ten_delta
+        # q[g, e] is geodesic, so its vertex at position i is i from g and
+        # d(g, e) - i from e: the slice below is exactly the admissible range
         path = self.engine.q.q_path(g, ())
-        return sum(self.disjoint_support_check(g, gamma) for gamma in path[ten:len(path) - ten])
+        return sum(self._disjoint_supports(g, gamma) for gamma in path[ten:len(path) - ten])
 
     # -- the cocycle identity ----------------------------------------------------
 

@@ -4,7 +4,8 @@ For vertices v, w the flower Fl(v, w) = S(v, d(v,w)) /\\ B(w, delta) is the
 set over which mass is spread. The chain f(a, b) is defined by recursion on
 d(a, b): it is the point mass at b when d(a,b) <= 10*delta; otherwise it
 retracts b to the projection point pr_a(b) (the bicombing point at the
-largest multiple of 10*delta strictly below d(a,b)), averaging over the
+largest multiple t of 10*delta strictly below d(a,b), which is
+a . x[:t] for the normal form x of a^-1 b), averaging over the
 flower first whenever d(a,b) is itself such a multiple. The result is an
 exact rational convex combination supported on S(a, 10*delta).
 
@@ -79,7 +80,10 @@ class ChainEngine:
     def _small_ball_moves(self) -> list[Word]:
         """B(e, delta) \\ {e} in breadth-first order, built on first use: a
         flower needs a margin of delta, so on an explicit ball of smaller
-        radius it is never built."""
+        radius it is never built. Empty on exact trees, where a step of
+        length 1 changes |x| by 1, so every flower is {x}."""
+        if self.spec.exact_tree:
+            return []
         return build_ball(self.spec, self.spec.delta).words[1:]
 
     def flower(self, v: Word, w: Word) -> tuple[Word, ...]:
@@ -107,8 +111,7 @@ class ChainEngine:
         x = self.spec.offset(a, b)
         if not x:
             return a
-        t = ((len(x) - 1) // self.ten_delta) * self.ten_delta
-        p = self.q.point_from_identity(x, t)
+        p = x[:((len(x) - 1) // self.ten_delta) * self.ten_delta]
         return self.spec._mul(a, p) if a else p
 
     # -- the recursive chain -------------------------------------------------
@@ -131,7 +134,6 @@ class ChainEngine:
         more members is averaged, unless the memo already holds its node.
         """
         ten = self.ten_delta
-        point = self.q.point_from_identity
         memo = self.cache.memo
         while True:
             d = len(x)
@@ -147,16 +149,15 @@ class ChainEngine:
                 members = self._flower_members_from_identity(x)
                 if len(members) > 1:
                     return self._average(x, members, t)
-            x = point(x, t)
+            x = x[:t]
 
     def _average(self, x: Word, members: list[Word], t: int) -> Word | Chain:
         """The mean of f(e, pr(y)) over the flower members y of x; memoized
         when it spreads, since every key above x shares it."""
         self.cache.misses += 1
-        point = self.q.point_from_identity
         acc: dict[Word, Fraction] = {}
         for y in members:
-            for w, c in as_chain(self._f_point_basepoint(point(y, t))).items():
+            for w, c in as_chain(self._f_point_basepoint(y[:t])).items():
                 acc[w] = acc.get(w, 0) + c
         if len(acc) == 1:
             return next(iter(acc))

@@ -53,14 +53,20 @@ class Generator:
 
 
 class GroupSpec:
-    """Base class for the group families. Instances are immutable."""
+    """Base class for the group families. Instances are immutable.
 
-    # set on families whose Cayley graph is a tree and delta = 1: every chain
-    # is a point mass and the cocycle norm is counted in closed form
+    Invariant of every family: the normal form of an element is its
+    shortlex-least geodesic word, with letters ordered as the generators are
+    declared. Free groups and free products have a unique geodesic word per
+    element; an explicit ball's breadth-first search reaches each vertex
+    first by its shortlex-least word. So the prefixes of a normal form are
+    normal forms, and they spell the bicombing's geodesic from e.
+    """
+
+    # set on families whose Cayley graph is a tree and delta = 1: every flower
+    # is {x}, every chain is a point mass and the cocycle norm is counted in
+    # closed form
     exact_tree = False
-    # set on families whose geodesics are provably unique, in which case the
-    # canonical geodesic from e spells out the normal form letter by letter
-    unique_geodesics = False
     # the longest normal form the spec can represent; finite only on
     # explicit balls, where words end at the boundary of the loaded ball
     max_word_length: float = math.inf
@@ -159,10 +165,15 @@ class GroupSpec:
                 if m:
                     pos = m.end()
                     exp = int(m.group(1))
-                    letter = token if exp >= 0 else (self._inv[token[0]],)
-                    token = ()
-                    for _ in range(abs(exp)):
-                        token = mul(token, letter)
+                    base = token if exp >= 0 else (self._inv[token[0]],)
+                    # square-and-multiply: O(log k) products, not k
+                    token, k = (), abs(exp)
+                    while k:
+                        if k & 1:
+                            token = mul(token, base)
+                        k >>= 1
+                        if k:
+                            base = mul(base, base)
                 out = mul(out, token)
         return out
 
@@ -180,8 +191,6 @@ class GroupSpec:
 
 class FreeGroupSpec(GroupSpec):
     """Free group of finite rank; generators a, A, b, B, ... (uppercase = inverse)."""
-
-    unique_geodesics = True
 
     def __init__(self, rank: int, delta: int = 1):
         if not 1 <= rank <= 26:
@@ -229,8 +238,6 @@ class FreeProductSpec(GroupSpec):
     a generator, so each syllable of the normal form is one letter and the
     number of syllables equals the word metric.
     """
-
-    unique_geodesics = True
 
     def __init__(self, orders: tuple[int, ...], delta: int = 1):
         if not orders or any(m < 2 for m in orders):

@@ -6,8 +6,9 @@ import random
 import pytest
 
 import hypaction as H
+from hypaction.errors import OutOfWindowError
 
-from line2 import line2_ball_json
+from line2 import endpoint, line2_ball_json
 
 
 def test_path_examples(f2, z23):
@@ -101,8 +102,70 @@ def test_point_equivariance_random(f2, f2_ball6):
         assert lhs == f2.multiply(g, q.q_point(a, b, t))
 
 
+def greedy_path_from_identity(spec, x):
+    """The geodesic e -> x by greedy descent, the oracle for the prefix path:
+    each step takes the least generator, in declaration order, that brings
+    the rest of the way one shorter. Its probes g^-1 x may leave an explicit
+    ball, where it raises OutOfWindowError."""
+    mul = spec._mul
+    path = [()]
+    cur, remaining = (), x
+    while remaining:
+        n = len(remaining)
+        for gi, inv in enumerate(spec._inv):
+            nxt = mul((inv,), remaining)
+            if len(nxt) == n - 1:
+                cur = mul(cur, (gi,))
+                path.append(cur)
+                remaining = nxt
+                break
+        else:
+            raise AssertionError("no generator decreases the distance")
+    return tuple(path)
+
+
+@pytest.fixture(scope="module", params=[22, 60])
+def line2_ball(request):
+    return H.ball_from_json(line2_ball_json(request.param))
+
+
 def test_greedy_matches_prefix_shortcut(f2, z23, f2_ball6, z23_ball6):
     for spec, ball in ((f2, f2_ball6), (z23, z23_ball6)):
         q = H.Bicombing(spec)
         for x in ball.words:
-            assert q.greedy_path_from_identity(x) == q.path_from_identity(x)
+            assert greedy_path_from_identity(spec, x) == q.path_from_identity(x)
+
+
+def test_greedy_matches_prefix_on_line2_balls(line2_ball):
+    # the normal form of a ball file is its shortlex-least geodesic word, so
+    # greedy descent spells it wherever its probes stay inside the ball; they
+    # leave it only at the two ends, +-2R
+    q = H.Bicombing(line2_ball)
+    words = H.build_ball(line2_ball, line2_ball.max_word_length).words
+    matched, outside = 0, []
+    for x in words:
+        try:
+            greedy = greedy_path_from_identity(line2_ball, x)
+        except OutOfWindowError:
+            outside.append(x)
+            continue
+        assert greedy == q.path_from_identity(x)
+        matched += 1
+    radius = line2_ball.max_word_length
+    assert matched == len(words) - 2 == 4 * radius - 1
+    assert sorted(endpoint(x) for x in outside) == [-2 * radius, 2 * radius]
+
+
+def test_prefix_path_at_the_ball_boundary(line2_ball):
+    # where the greedy walk leaves the ball, the bicombing and the retraction
+    # still read the prefix of the normal form
+    radius = line2_ball.max_word_length
+    engine = H.ChainEngine(line2_ball)
+    q = engine.q
+    t = ((radius - 1) // 10) * 10
+    for n in (-2 * radius, 2 * radius):
+        x = next(w for w in H.build_ball(line2_ball, radius).words if endpoint(w) == n)
+        assert len(x) == radius
+        assert engine.project((), x) == x[:t]
+        assert [q.q_point((), x, s) for s in range(radius + 1)] == list(q.q_path((), x))
+        assert q.q_path((), x) == tuple(x[:s] for s in range(radius + 1))

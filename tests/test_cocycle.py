@@ -7,6 +7,7 @@ import pytest
 
 import hypaction as H
 from hypaction.errors import ExactnessError, PSelectionError
+from hypaction.suite import _random_deep_word
 
 from line2 import endpoint, line2_ball_json
 
@@ -311,6 +312,22 @@ def test_properness_count(f2, f2_cocycle):
         count = f2_cocycle.properness_count(g)
         assert count >= k - 20 - 1
         assert count >= k - 100  # the loose bound is implied
+
+
+@pytest.mark.parametrize("descriptor", ["free:2", "zm:2,3"])
+def test_properness_count_is_the_sum_of_the_checks(descriptor, monkeypatch):
+    spec = H.spec_from_descriptor(descriptor)
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    q = coc.engine.q
+    ten = coc.engine.ten_delta
+    g = _random_deep_word(spec, random.Random(60), 60)
+    path = q.q_path(g, ())
+    expected = sum(coc.disjoint_support_check(g, gamma) for gamma in path[ten:len(path) - ten])
+    calls = []
+    q_path = q.q_path
+    monkeypatch.setattr(q, "q_path", lambda a, b: calls.append((a, b)) or q_path(a, b))
+    assert coc.properness_count(g) == expected == 60 - 2 * ten + 1
+    assert calls == [(g, ())]
 
 
 # ---------------------------------------------------------------- the identity

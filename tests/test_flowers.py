@@ -37,6 +37,18 @@ def test_flower_brute_force_product(z23, z23_engine):
         assert w in z23_engine.flower((), w)
 
 
+@pytest.mark.parametrize("descriptor", ["free:2", "zm:2,2,2"])
+def test_flower_brute_force_exact_tree(descriptor):
+    # exact trees list no flower moves; direct enumeration finds no other member
+    spec = H.spec_from_descriptor(descriptor)
+    assert spec.exact_tree
+    engine = H.ChainEngine(spec)
+    big = H.build_ball(spec, 5)
+    for w in H.build_ball(spec, 4).words:
+        expected = [y for y in big.words if len(y) == len(w) and H.distance(spec, w, y) <= 1]
+        assert list(engine.flower((), w)) == expected == [w]
+
+
 def test_flower_off_basepoint(z23, z23_engine):
     rng = random.Random(1)
     small = H.build_ball(z23, 3).words

@@ -20,6 +20,8 @@ from hypaction.errors import (
     SpecMismatchError,
 )
 
+from line2 import line2_ball_json
+
 
 # ---------------------------------------------------------------- basics
 
@@ -71,6 +73,26 @@ def test_parse_forms(f2, z23):
                        (z23, "s^2^3")):
         with pytest.raises(SpecMismatchError):
             spec.parse(text)
+
+
+def test_parse_power_is_the_k_fold_product(f2, z23):
+    line2 = H.ball_from_json(line2_ball_json(22))
+    cases = ((f2, "a"), (f2, "B"), (z23, "s"), (z23, "t"), (z23, "t^2"), (line2, "p"),
+             (line2, "Q"))
+    for spec, label in cases:
+        letter = spec.parse(label)
+        for k in range(-7, 8):
+            step = letter if k >= 0 else spec.invert(letter)
+            expected = ()
+            for _ in range(abs(k)):
+                expected = spec.multiply(expected, step)
+            assert spec.parse(f"{label}^{k}") == expected, (spec, label, k)
+
+
+def test_parse_long_power(f2):
+    # square-and-multiply: a long power costs O(log k) products
+    assert f2.parse("a^100000") == (0,) * 100000
+    assert f2.parse("a^-100000") == (1,) * 100000
 
 
 def test_label_round_trip(f2, z23, f2_ball3):
