@@ -49,7 +49,10 @@ class CayleyBall:
         ``right``, indexed by handle.
 
         Built along the BFS tree with one letter product per vertex, so a
-        sweep over the ball needs no inversions or full products.
+        sweep over the ball needs no inversions or full products. On an
+        explicit ball of radius R a letter product on the right is one
+        adjacency step, and one on the left is one table step whenever the
+        lengths of its two factors sum to at most R.
         """
         spec = self.spec
         mul = spec._mul

@@ -58,6 +58,25 @@ def norm_p(x: Chain, p: float) -> float:
     return sum(abs(float(c)) ** p for c in x.values()) ** (1.0 / p)
 
 
+def normalized(x: Chain, p: float) -> dict[Word, float]:
+    """x / ||x||_p for a nonzero chain, in floating point."""
+    n = norm_p(x, p)
+    return {w: float(c) / n for w, c in x.items()}
+
+
+def diff_pow(x: dict[Word, float], y: dict[Word, float], p: float) -> float:
+    """||x - y||_p^p for floating-point chains, summed over x, then over the
+    support of y outside x."""
+    s = 0.0
+    for w, u in x.items():
+        v = y.get(w)
+        s += abs(u) ** p if v is None else abs(u - v) ** p
+    for w, v in y.items():
+        if w not in x:
+            s += abs(v) ** p
+    return s
+
+
 def normalized_diff_pow(x: Chain, y: Chain, p: float) -> float:
     """||x/||x||_p - y/||y||_p||_p^p for nonzero chains, in floating point.
 
@@ -65,17 +84,7 @@ def normalized_diff_pow(x: Chain, y: Chain, p: float) -> float:
     translation invariant, so identity-based chains give the value of
     every translate.
     """
-    nx = norm_p(x, p)
-    ny = norm_p(y, p)
-    s = 0.0
-    for w, c in x.items():
-        u = float(c) / nx
-        c2 = y.get(w)
-        s += abs(u) ** p if c2 is None else abs(u - float(c2) / ny) ** p
-    for w, c in y.items():
-        if w not in x:
-            s += abs(float(c) / ny) ** p
-    return s
+    return diff_pow(normalized(x, p), normalized(y, p), p)
 
 
 def translate(spec: GroupSpec, g: Word, x: Chain) -> Chain:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .analysis import tail_bound
 from .cayley import CayleyBall
-from .chains import as_chain, normalized_diff_pow, sub, translate
+from .chains import Chain, as_chain, diff_pow, normalized, sub, translate
 from .errors import ExactnessError, InvariantViolation, PSelectionError
 from .flowers import ChainEngine, NormalizedChain
 from .groups import Word
@@ -63,6 +63,9 @@ class Cocycle:
         self.engine = engine
         self.spec = engine.spec
         self.p = float(p)
+        # id of a spread chain of the engine's memo -> (the chain, h = f / ||f||_p);
+        # holding the chain keeps its id from being reused
+        self._units: dict[int, tuple[Chain, dict[Word, float]]] = {}
 
     # -- pointwise values -----------------------------------------------------
 
@@ -84,15 +87,27 @@ class Cocycle:
 
     def _diff_pow(self, u: Word, v: Word) -> float:
         """||h_e(u) - h_e(v)||_p^p on identity-based chains; the memo grows
-        by the spread averaging nodes only, so millions of keys can be swept."""
+        by the spread averaging nodes only, so millions of keys can be swept.
+        Equal to ``normalized_diff_pow`` on the two chains, bit for bit."""
         if u == v:
             return 0.0
         fpoint = self.engine._f_point_basepoint
         f1, f2 = fpoint(u), fpoint(v)
         if isinstance(f1, dict) or isinstance(f2, dict):
-            return normalized_diff_pow(as_chain(f1), as_chain(f2), self.p)
+            return diff_pow(self._unit(f1), self._unit(f2), self.p)
         # point masses of unit coefficient
         return 0.0 if f1 == f2 else 2.0
+
+    def _unit(self, f: Word | Chain) -> dict[Word, float]:
+        """h = f / ||f||_p as floats. A spread chain is a memo entry of the
+        engine and p is fixed, so each is normalized once; a unit point mass
+        is its own normalization."""
+        if not isinstance(f, dict):
+            return {f: 1.0}
+        got = self._units.get(id(f))
+        if got is None:
+            got = self._units[id(f)] = (f, normalized(f, self.p))
+        return got[1]
 
     # -- windowed norm ----------------------------------------------------------
 

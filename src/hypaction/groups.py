@@ -14,7 +14,10 @@ supported:
   of each cyclic generator (so every syllable is a single letter and the
   syllable count is the word metric),
 * explicit finite Cayley balls loaded from a JSON file, for groups whose
-  word problem is not solved here.
+  word problem is not solved here. Their vertices are integer handles; a
+  table of left products by each generator and a table of inverses, both
+  filled in the breadth-first search that numbers the vertices, make an
+  inverse one lookup and a product a walk of its shorter factor.
 
 Specs and words are immutable; every operation is pure and safe to share
 across threads.
@@ -307,10 +310,20 @@ class ExplicitBallSpec(GroupSpec):
 
     Elements are the canonical words found by breadth-first search from the
     basepoint (expanding generators in declaration order, so the word is the
-    lexicographically least geodesic spelling). Products are computed by
-    walking edges and are defined only while the walk stays inside the ball.
-    ``adj[vid][gi]`` is the vertex reached from ``vid`` along generator
-    ``gi``, or None where that edge leaves the ball.
+    lexicographically least geodesic spelling). ``adj[vid][gi]`` is the
+    vertex reached from ``vid`` along generator ``gi``, or None where that
+    edge leaves the ball. The search also fills, from each vertex's parent,
+    ``left[s][vid]``, the vertex of s . word(vid) (None where the walk from s
+    along word(vid) leaves the ball), and ``inverse[vid]``, the vertex of
+    word(vid)^-1: |S| N + N integers for N vertices.
+
+    Products are computed by walking edges and are defined only while the
+    walk stays inside the ball. The product u v walks v's letters rightward
+    from u. When |u| + |v| <= R no walk can leave the ball, and the shorter
+    factor is walked: u's letters, reversed, leftward from v through
+    ``left`` when u is the shorter. Every other product takes the right
+    walk, so ``OutOfWindowError`` is raised exactly where the right walk
+    leaves the ball. The inverse of a normal form is one lookup.
     """
 
     def __init__(self, generators, delta, adj, basepoint_idx, radius, name="ball"):
@@ -318,10 +331,16 @@ class ExplicitBallSpec(GroupSpec):
         self.max_word_length = int(radius)
         self._adj: list[list[int | None]] = adj
         n_vertices = len(adj)
+        inv = self._inv
         words: list[Word | None] = [None] * n_vertices
         dist: list[int] = [-1] * n_vertices
+        left: list[list[int | None]] = [[None] * n_vertices for _ in generators]
+        inverse: list[int | None] = [None] * n_vertices
         words[basepoint_idx] = ()
         dist[basepoint_idx] = 0
+        inverse[basepoint_idx] = basepoint_idx
+        for s, nb in enumerate(adj[basepoint_idx]):
+            left[s][basepoint_idx] = nb
         queue = deque([basepoint_idx])
         while queue:
             vid = queue.popleft()
@@ -330,6 +349,11 @@ class ExplicitBallSpec(GroupSpec):
                 if nb is not None and dist[nb] < 0:
                     dist[nb] = dist[vid] + 1
                     words[nb] = w + (gi,)
+                    for row in left:
+                        at = row[vid]
+                        row[nb] = None if at is None else adj[at][gi]
+                    iv = inverse[vid]
+                    inverse[nb] = None if iv is None else left[inv[gi]][iv]
                     queue.append(nb)
         if any(d < 0 for d in dist):
             raise BallFileRadiusError("some vertices are unreachable from the basepoint")
@@ -342,6 +366,8 @@ class ExplicitBallSpec(GroupSpec):
                 raise BallFileError(
                     f"interior vertex at distance {dist[vid]} is missing a generator edge"
                 )
+        self._left = left
+        self._inverse = inverse
         self._vertex_word: list[Word] = words  # type: ignore[assignment]
         self._word_vertex: dict[Word, int] = {w: i for i, w in enumerate(words)}  # type: ignore[arg-type]
 
@@ -362,13 +388,24 @@ class ExplicitBallSpec(GroupSpec):
         return vid
 
     def _mul(self, u: Word, v: Word) -> Word:
-        vid = self._word_vertex.get(u)
+        index = self._word_vertex
+        vid = index.get(u)
         if vid is None:
-            vid = self._walk(self._word_vertex[()], u)
+            vid = self._walk(index[()], u)
+        elif len(u) < len(v) and len(u) + len(v) <= self.max_word_length:
+            wid = index.get(v)
+            if wid is not None:
+                left = self._left
+                for x in reversed(u):
+                    wid = left[x][wid]
+                return self._vertex_word[wid]
         return self._vertex_word[self._walk(vid, v)]
 
     def _inv_word(self, u: Word) -> Word:
-        return self._mul(GroupSpec._inv_word(self, u), ())
+        vid = self._word_vertex.get(u)
+        if vid is None:
+            return self._mul(GroupSpec._inv_word(self, u), ())
+        return self._vertex_word[self._inverse[vid]]
 
     def neighbors(self, u: Word):
         for gi, nb in enumerate(self._adj[self._word_vertex[u]]):

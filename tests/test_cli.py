@@ -6,6 +6,8 @@ import pytest
 
 from hypaction.cli import RunConfig, main
 
+from line2 import line2_ball_json
+
 
 def run_cli(args, tmp_path, name="out"):
     out = tmp_path / name
@@ -159,6 +161,52 @@ def test_verify_explicit_ball(tmp_path):
     assert all(c["passed"] for c in report["checks"] if c["name"] != "properness")
     names = {c["name"] for c in report["checks"]}
     assert "chain-convexity-support" in names
+    # where products leave the ball decides what each check evaluates
+    assert _counts(report) == {
+        "group-laws": (199, {"OutOfWindowError": 1}),
+        "delta-certificate": (311, 0),
+        "bicombing": (100, {}),
+        "chain-convexity-support": (78, {"ExactnessError": 22}),
+        "chain-equivariance": (7, {"ExactnessError": 3}),
+        "h-normalization": (9, {"ExactnessError": 1}),
+        "decay-and-p-selection": (None, None),
+        "cocycle-identity": (5, {}),
+        "properness": (0, {"OutOfWindowError": 10}),
+    }
+    assert _check(report, "cocycle-identity")["audited"] == 0
+
+
+def test_verify_line2_ball(tmp_path):
+    ball_path = tmp_path / "line2r22.json"
+    ball_path.write_text(json.dumps(line2_ball_json(22)))
+    code, text = run_cli(
+        ["verify", "--group", f"ball:{ball_path}", "--radius", "6", "--seed", "2"], tmp_path
+    )
+    assert code == 3
+    report = json.loads(text)
+    assert report["inconclusive"] == ["properness"]
+    assert _counts(report) == {
+        "group-laws": (800, {}),
+        "delta-certificate": (566, 0),
+        "bicombing": (400, {}),
+        "chain-convexity-support": (400, {}),
+        "chain-equivariance": (40, {}),
+        "h-normalization": (40, {}),
+        "decay-and-p-selection": (None, None),
+        "cocycle-identity": (5, {}),
+        "properness": (0, {"ExactnessError": 3, "OutOfWindowError": 7}),
+    }
+    assert _check(report, "cocycle-identity")["audited"] == 0
+
+
+def _check(report, name):
+    return next(c["details"] for c in report["checks"] if c["name"] == name)
+
+
+def _counts(report):
+    """(evaluated, skipped) of each check of a verify report."""
+    return {c["name"]: (c["details"].get("evaluated"), c["details"].get("skipped"))
+            for c in report["checks"]}
 
 
 def test_config_file(tmp_path):

@@ -362,6 +362,41 @@ def test_ball_file_adjacency_rows_match_native(z23):
                 assert spec._mul(u, v) == z23._mul(u, v)
 
 
+@pytest.mark.parametrize("descriptor, radius", [("free:2", 3), ("zm:2,3", 5)])
+def test_ball_file_products_match_the_right_walk(descriptor, radius):
+    # the oracle walks the file's edges letter by letter, from u along v; the
+    # spec may walk either factor where no walk leaves the ball, and must
+    # fail exactly where this walk leaves it. Both groups are non-abelian, so
+    # a table of right products standing in for left ones fails here
+    data = H.ball_to_json(H.spec_from_descriptor(descriptor), radius)
+    spec = H.ball_from_json(data, delta=1)
+    edges = {(src, gi): dst for src, gi, dst in data["edges"]}
+    words = H.build_ball(spec, radius).words
+    label = spec.label_word
+    assert sorted(map(label, words)) == sorted(data["vertices"])
+
+    def walk(start, letters):
+        for x in letters:
+            start = edges.get((start, x))
+            if start is None:
+                return None
+        return start
+
+    outside = 0
+    for u in words:
+        inverse_letters = [spec._inv[x] for x in reversed(u)]
+        assert label(spec._inv_word(u)) == walk(data["basepoint"], inverse_letters)
+        for v in words:
+            expected = walk(label(u), v)
+            if expected is None:
+                outside += 1
+                with pytest.raises(OutOfWindowError):
+                    spec._mul(u, v)
+            else:
+                assert label(spec._mul(u, v)) == expected
+    assert outside
+
+
 def test_ball_file_out_of_window(f2):
     spec = H.ball_from_json(H.ball_to_json(f2, 2), delta=1)
     deep = spec.parse("ab")

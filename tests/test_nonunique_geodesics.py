@@ -194,6 +194,29 @@ def test_windowed_norm_and_fits(line2, line2_engine):
     assert not res.exact
 
 
+def test_diff_pow_normalizes_each_spread_chain_once():
+    # a cocycle keeps h = f / ||f||_p of each spread chain it meets; its
+    # difference powers over the windows equal the uncached ones bit for bit
+    spec = H.ball_from_json(line2_ball_json(120), delta=1)
+    fit_ball = H.build_ball(spec, 8)
+    ups = H.estimate_upsilon(fit_ball)
+    rho_of_p, _ = H.rho_fitter(H.ChainEngine(spec), fit_ball, 400, seed=11)
+    selected = H.select_p(ups, rho_of_p).p
+    assert selected != 2.0
+    window = H.build_ball(spec, 30)
+    by_end = {endpoint(w): w for w in H.build_ball(spec, 14).words}
+    for p in (2.0, selected):
+        engine = H.ChainEngine(spec)
+        coc = H.Cocycle(engine, p)
+        fpoint = engine._f_point_basepoint
+        for n in (1, 13, -24, 26):
+            for u1, u2 in zip(window.walk(by_end[n]), window.walk(())):
+                expected = chains.normalized_diff_pow(
+                    chains.as_chain(fpoint(u1)), chains.as_chain(fpoint(u2)), p)
+                assert coc._diff_pow(u1, u2) == expected
+        assert 0 < len(coc._units) <= len(engine.cache.memo)
+
+
 def test_rho_fitter_matches_dense_norms():
     # spread chains: the fitted samples agree with ||h(b,a) - h(b,a')||_p
     # computed from the dense h coefficients, up to rounding
