@@ -28,7 +28,7 @@ from .chains import (
     translate,
 )
 from .cocycle import Cocycle, CocycleResult, IdentityReport
-from .flowers import ChainEngine, NormalizedChain
+from .flowers import ChainEngine
 from .groups import (
     ExplicitBallSpec,
     FreeGroupSpec,
@@ -57,7 +57,6 @@ __all__ = [
     "Generator",
     "GroupSpec",
     "IdentityReport",
-    "NormalizedChain",
     "PSelection",
     "Word",
     "add",

@@ -9,8 +9,10 @@ that the geometric tail of the cocycle norm converges with an explicit bound.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .cayley import CayleyBall, build_ball, gromov_product
@@ -255,7 +257,9 @@ def tail_bound(C: float, rho: float, p: float, upsilon: float, R: int, d: int) -
 
     Sums the geometric layer bounds C^p * rho^(p(n - d)) * upsilon^n over
     n > R; requires rho^p * upsilon < 1/2 so the series converges. R = -1
-    gives the full-sum bound, at most 2 * C^p * rho^(-p d).
+    gives the full-sum bound, at most 2 * C^p * rho^(-p d). Where a factor
+    overflows, the bound is taken through its logarithm: inf only beyond
+    every float.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError("the decay base must lie in [0, 1)")
@@ -266,4 +270,11 @@ def tail_bound(C: float, rho: float, p: float, upsilon: float, R: int, d: int) -
     q = rho ** p * upsilon
     if q >= 0.5:
         raise ValueError(f"rho^p * upsilon = {q:.4f} is not below 1/2")
-    return (C ** p) * rho ** (-p * d) * q ** (R + 1) / (1.0 - q)
+    with suppress(OverflowError):
+        bound = (C ** p) * rho ** (-p * d) * q ** (R + 1) / (1.0 - q)
+        if math.isfinite(bound):
+            return bound
+    with suppress(OverflowError):  # ln q = p ln rho + ln upsilon, finite where q underflows
+        return math.exp(p * math.log(C) - p * d * math.log(rho) - math.log(1.0 - q)
+                        + (R + 1) * (p * math.log(rho) + math.log(upsilon)))
+    return math.inf

@@ -38,9 +38,6 @@ class CayleyBall:
     def __contains__(self, w: Word):
         return w in self.index
 
-    def distance(self, a: Word, b: Word) -> int:
-        return distance(self.spec, a, b)
-
     def layer_sizes(self) -> list[int]:
         return [self._layer_bounds[r + 1] - self._layer_bounds[r] for r in range(self.radius + 1)]
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis
 from .cayley import build_ball, certify_delta
-from .chains import chain_to_entries
+from .chains import chain_to_entries, norm_p, normalized
 from .cocycle import Cocycle
 from .errors import HypactionError
 from .flowers import ChainEngine
@@ -191,11 +191,10 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
     }
     if which == "h":
         p, _ = _resolve_p(cfg, engine)
-        h = engine.h_chain(a, b, p)
         payload["p"] = p
-        payload["norm"] = h.norm
+        payload["norm"] = norm_p(f, p)
         payload["coefficients"] = [
-            [spec.label_word(w), c] for w, c in sorted(h.coefficients().items())
+            [spec.label_word(w), c] for w, c in sorted(normalized(f, p).items())
         ]
     _emit_json(payload, cfg.output)
     return 0

@@ -1,9 +1,9 @@
 """The displacement cocycle of the affine action and its properness data.
 
-The base vector assigns to every vertex gamma the unit chain h(gamma, e);
-the linear action is (pi(g) xi)(gamma) = g(xi(g^-1 gamma)); the cocycle is
-b(g)(gamma) = h(gamma, g) - h(gamma, e). Its p-norm grows at least linearly
-in d(g, e), which is what makes the affine action proper. This module
+The base vector assigns to every vertex gamma the unit chain h(gamma, e),
+h = f / ||f||_p; the linear action is (pi(g) xi)(gamma) = g(xi(g^-1 gamma));
+the cocycle is b(g)(gamma) = h(gamma, g) - h(gamma, e). Its p-norm grows at
+least linearly in d(g, e), which makes the affine action proper. This module
 evaluates b(g) on finite windows with certified tail bounds, exactly on tree
 families, and checks the algebraic identities behind the construction.
 """
@@ -18,7 +18,7 @@ from .analysis import tail_bound
 from .cayley import CayleyBall
 from .chains import Chain, as_chain, diff_pow, normalized, sub, translate
 from .errors import ExactnessError, InvariantViolation, PSelectionError
-from .flowers import ChainEngine, NormalizedChain
+from .flowers import ChainEngine
 from .groups import Word
 
 # an identity check stops recording failing vertices after this many
@@ -55,7 +55,8 @@ class IdentityReport:
 
 
 class Cocycle:
-    """Evaluator for the cocycle of one engine at a fixed exponent p >= 2."""
+    """Evaluator for the cocycle of one engine at a fixed exponent p >= 2:
+    the engine does not depend on p, and every h is ``chains.normalized``."""
 
     def __init__(self, engine: ChainEngine, p: float):
         if not 2 <= p < math.inf:
@@ -69,15 +70,13 @@ class Cocycle:
 
     # -- pointwise values -----------------------------------------------------
 
-    def eta_at(self, gamma: Word) -> NormalizedChain:
-        """The base vector at gamma: h(gamma, e)."""
-        return self.engine.h_chain(gamma, (), self.p)
+    def eta_at(self, gamma: Word) -> dict[Word, float]:
+        """The base vector at gamma: h(gamma, e) = f(gamma, e) / ||f(gamma, e)||_p."""
+        return normalized(self.engine.f_chain(gamma, ()), self.p)
 
     def b_at(self, g: Word, gamma: Word) -> dict[Word, float]:
         """The chain b(g)(gamma) = h(gamma, g) - h(gamma, e), dense view."""
-        h1 = self.engine.h_chain(gamma, g, self.p).coefficients()
-        h2 = self.engine.h_chain(gamma, (), self.p).coefficients()
-        return sub(h1, h2)
+        return sub(normalized(self.engine.f_chain(gamma, g), self.p), self.eta_at(gamma))
 
     def diff_norm_pow(self, g: Word, gamma: Word) -> float:
         """||b(g)(gamma)||_p^p via left-invariance (no translations built)."""
@@ -294,7 +293,7 @@ class Cocycle:
         self,
         g: Word,
         k: Word,
-        window,
+        window: CayleyBall,
         audit_fraction: float = 0.0,
         seed: int = 0,
     ) -> IdentityReport:
@@ -311,38 +310,24 @@ class Cocycle:
         at a fraction of the vertices, are the independent check of the
         equivariance of f.
 
-        ``window`` may be a CayleyBall, whose translates gamma^-1 gk,
-        gamma^-1 g and g^-1 gamma come from three ``CayleyBall.walk`` passes
-        along its BFS tree, or any iterable of vertices, for which each
-        vertex is inverted and multiplied out.
+        The translates gamma^-1 gk, gamma^-1 g and g^-1 gamma of every
+        vertex of the window come from three ``CayleyBall.walk`` passes
+        along its BFS tree.
         """
         spec = self.spec
-        eng = self.engine
         spec.validate_word(g)
         spec.validate_word(k)
-        mul, inv_word = spec._mul, spec._inv_word
+        mul = spec._mul
         gk = mul(g, k)
-        ginv = inv_word(g)
         rng = random.Random(seed)
         witnesses: list[Word] = []
         audited = 0
-        vertices = 0
-
-        if isinstance(window, CayleyBall):
-            # gamma^-1 gk keys f(gamma, gk) and f(g^-1 gamma, k); gamma^-1 g
-            # keys f(gamma, g) and f(g^-1 gamma, e)
-            items = zip(window.words, window.walk(gk), window.walk(g),
-                        window.walk(ginv, right=True))
-        else:
-            items = (
-                (gamma, mul(ig, gk), mul(ig, g), mul(ginv, gamma))
-                for gamma in window
-                for ig in (inv_word(gamma),)
-            )
-
-        fpoint = eng._f_point_basepoint
+        # gamma^-1 gk keys f(gamma, gk) and f(g^-1 gamma, k); gamma^-1 g
+        # keys f(gamma, g) and f(g^-1 gamma, e)
+        items = zip(window.words, window.walk(gk), window.walk(g),
+                    window.walk(spec._inv_word(g), right=True))
+        fpoint = self.engine._f_point_basepoint
         for gamma, u1, u2, m in items:
-            vertices += 1
             w1, w2 = fpoint(u1), fpoint(u2)
             # two point masses are looped over as words: building unit dicts
             # for them slows the tree sweeps
@@ -356,7 +341,7 @@ class Cocycle:
                 audited += 1
                 self._audit_identity(g, k, gk, gamma, m, as_chain(w1), as_chain(w2))
         return IdentityReport(
-            vertices=vertices,
+            vertices=len(window),
             residual_zero=not witnesses,
             witnesses=witnesses,
             audited=audited,

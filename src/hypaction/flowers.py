@@ -18,19 +18,20 @@ of u; averaged chains are built in that order. The memo holds exactly the
 averaging nodes whose chain has at least two support points, whoever asks
 for them: every key above such a node shares it. Point masses are never
 stored, so on the built-in families, where every chain is a point mass,
-the memo stays empty.
+the memo stays empty. Nothing here depends on p: the cocycle's unit chain
+h = f / ||f||_p is ``chains.normalized`` of f.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .bicombing import Bicombing
 from .cayley import build_ball
-from .chains import Chain, as_chain, norm_p, translate
+from .chains import Chain, as_chain, translate
 from .errors import ExactnessError
 from .groups import GroupSpec, Word
 
@@ -47,22 +48,6 @@ class ChainCache:
     memo: dict[Word, Chain] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-
-
-@dataclass(frozen=True)
-class NormalizedChain:
-    """A chain together with its lp norm: h = f / ||f||_p.
-
-    Keeping f exact and the norm alongside lets difference norms be computed
-    without rounding the combinatorial data.
-    """
-
-    f: Chain
-    p: float
-    norm: float
-
-    def coefficients(self) -> dict[Word, float]:
-        return {w: float(c) / self.norm for w, c in self.f.items()}
 
 
 class ChainEngine:
@@ -120,10 +105,7 @@ class ChainEngine:
         """The convex-combination chain f(a, b), exact rational coefficients."""
         x = self.spec.offset(a, b)
         self._require_margin(a, len(x) + self.spec.delta)
-        return translate(self.spec, a, self._f_basepoint(x))
-
-    def _f_basepoint(self, x: Word) -> Chain:
-        return as_chain(self._f_point_basepoint(x))
+        return translate(self.spec, a, as_chain(self._f_point_basepoint(x)))
 
     def _f_point_basepoint(self, x: Word) -> Word | Chain:
         """f(e, x) as its support point when it is a point mass, otherwise
@@ -153,12 +135,15 @@ class ChainEngine:
 
     def _average(self, x: Word, members: list[Word], t: int) -> Word | Chain:
         """The mean of f(e, pr(y)) over the flower members y of x; memoized
-        when it spreads, since every key above x shares it."""
+        when it spreads, since every key above x shares it. Each distinct
+        retraction is evaluated once and weighted by its members: point
+        masses are not memoized, so one evaluation per member is exponential
+        in |x| where members share their retraction."""
         self.cache.misses += 1
         acc: dict[Word, Fraction] = {}
-        for y in members:
-            for w, c in as_chain(self._f_point_basepoint(y[:t])).items():
-                acc[w] = acc.get(w, 0) + c
+        for r, n in Counter(y[:t] for y in members).items():
+            for w, c in as_chain(self._f_point_basepoint(r)).items():
+                acc[w] = acc.get(w, 0) + n * c
         if len(acc) == 1:
             return next(iter(acc))
         share = Fraction(1, len(members))
@@ -197,16 +182,6 @@ class ChainEngine:
             return out
 
         return rec(b)
-
-    # -- normalization --------------------------------------------------------
-
-    def h_chain(self, b: Word, a: Word, p: float) -> NormalizedChain:
-        """h(b, a) = f(b, a) / ||f(b, a)||_p, kept as f plus its normalizer."""
-        if not 2 <= p < math.inf:
-            raise ValueError(f"the normalized chains are defined for finite p >= 2, not {p}")
-        # f is a convex combination, never the zero chain
-        f = self.f_chain(b, a)
-        return NormalizedChain(f=f, p=float(p), norm=norm_p(f, p))
 
     # -- helpers ---------------------------------------------------------------
 

@@ -161,8 +161,8 @@ def run_suite(
     p_probe = 2.0 if p == "auto" else float(p)
 
     def normalization_witness(b, a):
-        h = engine.h_chain(b, a, p_probe)
-        if abs(chains.norm_p(h.coefficients(), p_probe) - 1.0) > 1e-9:
+        h = chains.normalized(engine.f_chain(b, a), p_probe)
+        if abs(chains.norm_p(h, p_probe) - 1.0) > 1e-9:
             return {"b": spec.label_word(b), "a": spec.label_word(a)}
         return None
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import hypaction as H
+from hypaction.chains import as_chain
 from hypaction.cli import main as cli_main
 from hypaction.suite import _random_deep_word
 
@@ -32,7 +33,7 @@ def _pair_sweep(spec, engine, ball):
     ten = engine.ten_delta
     q = engine.q
     mul, inv_word = spec._mul, spec._inv_word
-    fe = engine._f_basepoint
+    fe = engine._f_point_basepoint
     one = Fraction(1)
     stats = {"pairs": 0, "convex_bad": 0, "base_bad": 0, "support_bad": 0, "deep_pairs": 0}
     words = ball.words
@@ -41,7 +42,7 @@ def _pair_sweep(spec, engine, ball):
         ib = inv_word(b)
         for a in words:
             x = mul(ib, a)
-            base = fe(x)
+            base = as_chain(fe(x))
             f = {mul(b, w): c for w, c in base.items()}
             stats["pairs"] += 1
             if sum(f.values()) != one or any(c <= 0 for c in f.values()):

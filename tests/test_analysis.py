@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hypaction as H
 from hypaction.analysis import decay_triples, fit_envelope
+from hypaction.chains import normalized
 from hypaction.errors import FitError, OutOfWindowError, PSelectionError
 
 from line2 import line2_ball_json
@@ -194,8 +195,8 @@ def test_fit_h_decay_trivial_bound(z23_engine, z23_ball8):
 
 def _dense_h_diff_norm(engine, b, a, a2, p):
     """||h(b,a) - h(b,a')||_p from the dense coefficients of both h chains."""
-    h1 = engine.h_chain(b, a, p).coefficients()
-    h2 = engine.h_chain(b, a2, p).coefficients()
+    h1 = normalized(engine.f_chain(b, a), p)
+    h2 = normalized(engine.f_chain(b, a2), p)
     support = set(h1) | set(h2)
     return sum(abs(h1.get(w, 0.0) - h2.get(w, 0.0)) ** p for w in support) ** (1 / p)
 
@@ -204,7 +205,7 @@ def test_rho_fitter_consistent(z23_engine, z23_ball8):
     rho_of_p, fits = H.rho_fitter(z23_engine, z23_ball8, 600, seed=44)
     r1 = rho_of_p(4.0)
     assert rho_of_p(4.0) == r1
-    # the same triples' norms, computed densely from h_chain, give the same fit
+    # the same triples' norms, computed densely from both h chains, give the same fit
     samples = [
         (float(H.gromov_product(z23_engine.spec, b, a, a2)),
          _dense_h_diff_norm(z23_engine, b, a, a2, 4.0))
@@ -283,6 +284,24 @@ def test_tail_bound_closed_sum():
     for R in (0, 3, 9):
         head = sum(C ** p * rho ** (p * (n - d)) * ups ** n for n in range(R + 1))
         assert H.tail_bound(C, rho, p, ups, R, d) == pytest.approx(full - head)
+
+
+def test_tail_bound_past_float_overflow():
+    # the fit of `cocycle --group zm:2,3 --radius 4 --samples 200`: rho^(-p d)
+    # overflows at d = 250 and raised OverflowError at d = 260, although the
+    # bound itself is a float at R = 30
+    C, rho, p, ups = 34.914470036921486, 0.65, 6.5, 4.0
+    q = rho ** p * ups
+    for d in (250, 260):
+        got = H.tail_bound(C, rho, p, ups, 30, d)
+        assert math.isfinite(got)
+        log_bound = (p * math.log(C) - p * d * math.log(rho) + 31 * math.log(q)
+                     - math.log(1.0 - q))
+        assert math.log(got) == pytest.approx(log_bound, rel=1e-12)
+        assert H.tail_bound(C, rho, p, ups, 4, d) == math.inf
+    # where the product is finite it is returned as it stands
+    d = 100
+    assert H.tail_bound(C, rho, p, ups, 30, d) == (C ** p) * rho ** (-p * d) * q ** 31 / (1.0 - q)
 
 
 def test_tail_bound_domain():

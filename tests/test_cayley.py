@@ -30,12 +30,11 @@ def test_explicit_ball_radius_limit(f2):
         H.build_ball(spec, 4)
 
 
-def test_distance_examples(f2, z23, f2_ball3):
+def test_distance_examples(f2, z23):
     a = f2.parse("a")
     assert H.distance(f2, a, a) == 0
     assert H.distance(f2, f2.parse("ab"), f2.parse("aB")) == 2
     assert H.distance(z23, z23.parse("st"), z23.parse("s")) == 1
-    assert f2_ball3.distance(f2.parse("ab"), f2.parse("aB")) == 2
 
 
 def test_distance_left_invariant_and_triangle(f2, f2_ball3):

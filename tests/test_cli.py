@@ -58,6 +58,39 @@ def test_chain_command_h(tmp_path):
     assert payload["coefficients"] == [["aaaaaaaaaa", 1.0]]
 
 
+def test_chain_command_h_spread(tmp_path):
+    # f(e, q^20) on the line2 ball is 1/2 on each of two points, so
+    # ||f||_3 = 2^(-2/3) and both coefficients of h are 2^(-1/3)
+    ball_path = tmp_path / "line2r40.json"
+    ball_path.write_text(json.dumps(line2_ball_json(40)))
+    code, text = run_cli(
+        ["chain", "--group", f"ball:{ball_path}", "e", "q^20", "--which", "h", "--p", "3"],
+        tmp_path,
+    )
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["p"] == 3.0
+    assert payload["norm"] == 0.6299605249474366
+    assert payload["coefficients"] == [["pqqqqqqqqq", 0.7937005259840997],
+                                       ["qqqqqqqqqq", 0.7937005259840997]]
+    assert payload["entries"] == [["pqqqqqqqqq", 1, 2], ["qqqqqqqqqq", 1, 2]]
+
+
+def test_cocycle_far_from_the_window(capsys):
+    # d(g, e) = 260 on zm:2,3 with a radius-4 window: the f descent stays
+    # linear in |g| and the tail bound overflows to inf, not to a traceback
+    g = " ".join(["s t"] * 130)
+    code = main(["cocycle", "--group", "zm:2,3", "--radius", "4", "--samples", "200",
+                 "--g", g])
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["d_g_e"] == 260
+    assert payload["p"] == 6.5
+    assert payload["tail_bound"] == float("inf")
+    assert code == 1  # a radius-4 window cannot show the paper's bound at d = 260
+
+
 def test_certify_delta_command(tmp_path):
     code, text = run_cli(
         ["certify-delta", "--group", "zm:2,3", "--radius", "5",

@@ -26,9 +26,8 @@ def z23_cocycle(z23_engine):
 
 
 def test_eta_examples(f2, f2_cocycle):
-    assert f2_cocycle.eta_at(()).coefficients() == {(): 1.0}
-    eta15 = f2_cocycle.eta_at(f2.parse("a^15"))
-    assert eta15.coefficients() == {f2.parse("a^5"): 1.0}
+    assert f2_cocycle.eta_at(()) == {(): 1.0}
+    assert f2_cocycle.eta_at(f2.parse("a^15")) == {f2.parse("a^5"): 1.0}
 
 
 def test_eta_unit_norm(z23, z23_cocycle, z23_ball6):
@@ -36,8 +35,7 @@ def test_eta_unit_norm(z23, z23_cocycle, z23_ball6):
     words = z23_ball6.words
     for _ in range(50):
         gamma = words[rng.randrange(len(words))]
-        h = z23_cocycle.eta_at(gamma)
-        assert abs(H.norm_p(h.coefficients(), 4.0) - 1.0) < 1e-12
+        assert abs(H.norm_p(z23_cocycle.eta_at(gamma), 4.0) - 1.0) < 1e-12
 
 
 def test_b_at_identity_is_zero(f2, f2_cocycle, f2_ball3):
@@ -365,27 +363,6 @@ def test_identity_product_family(z23, z23_cocycle, z23_ball6):
         k = words[rng.randrange(len(words))]
         rep = z23_cocycle.verify_identity(g, k, window, audit_fraction=0.02, seed=4)
         assert rep.residual_zero
-
-
-def test_identity_plain_iterable_window(f2, f2_cocycle):
-    window = [(), f2.parse("a"), f2.parse("Ab")]
-    rep = f2_cocycle.verify_identity(f2.parse("a"), f2.parse("b"), window)
-    assert rep.vertices == 3 and rep.residual_zero
-
-
-def test_identity_ball_walk_matches_plain_iteration(f2, f2_cocycle):
-    # the incremental BFS-tree walk must agree with per-vertex computation
-    ball = H.build_ball(f2, 4)
-    rng = random.Random(28)
-    words = ball.words
-    for _ in range(5):
-        g = words[rng.randrange(len(words))]
-        k = words[rng.randrange(len(words))]
-        fast = f2_cocycle.verify_identity(g, k, ball)
-        plain = f2_cocycle.verify_identity(g, k, list(ball.words))
-        assert fast.vertices == plain.vertices
-        assert fast.residual_zero == plain.residual_zero
-        assert fast.witnesses == plain.witnesses
 
 
 @pytest.mark.parametrize("family", ["free:2", "line2"])

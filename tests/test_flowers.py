@@ -1,5 +1,6 @@
 """Flowers, projections, and the recursive averaged chains."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -181,8 +182,8 @@ def test_transient_sweep_keeps_no_point_masses(f2, z23):
 
 def test_memo_holds_no_point_masses(f2, z23):
     # every chain of the built-in families is a point mass, so no caller
-    # leaves anything in the memo: not cached f_chain or h_chain, not the
-    # properness count, not an identity sweep
+    # leaves anything in the memo: not cached f_chain, not the cocycle's
+    # pointwise value, not the properness count, not an identity sweep
     for spec in (f2, z23):
         engine = H.ChainEngine(spec)
         coc = H.Cocycle(engine, 3.0)
@@ -190,7 +191,7 @@ def test_memo_holds_no_point_masses(f2, z23):
         deep = [_random_deep_word(spec, rng, rng.randint(20, 32)) for _ in range(20)]
         for g in deep:
             assert engine.f_chain((), g) == engine.f_chain_literal((), g)
-            engine.h_chain(g[:3], g, 3.0)
+            coc.b_at(g, g[:3])
         for g in deep[:3]:
             assert coc.properness_count(g) > 0
         assert coc.verify_identity(deep[0], deep[1][:4], H.build_ball(spec, 3)).residual_zero
@@ -225,8 +226,8 @@ def test_delta_two_flowers_and_recursion(f2):
     assert engine.f_chain((), y) == {y: Fraction(1)}
     assert engine.project((), spec.parse("a^30")) == spec.parse("a^20")
 
-    h = engine.h_chain((), x, 2.0)
-    assert abs(H.norm_p(h.coefficients(), 2.0) - 1.0) < 1e-12
+    h = chains.normalized(f, 2.0)
+    assert abs(H.norm_p(h, 2.0) - 1.0) < 1e-12
 
 
 def test_delta_two_no_exact_mode(f2):
@@ -246,20 +247,37 @@ def test_h_normalization(z23, z23_engine, z23_ball6):
         for _ in range(40):
             b = words[rng.randrange(len(words))]
             a = words[rng.randrange(len(words))]
-            h = z23_engine.h_chain(b, a, p)
-            assert abs(H.norm_p(h.coefficients(), p) - 1.0) < 1e-12
+            h = chains.normalized(z23_engine.f_chain(b, a), p)
+            assert abs(H.norm_p(h, p) - 1.0) < 1e-12
 
 
 def test_h_base_case(f2, f2_engine):
-    h = f2_engine.h_chain(f2.parse("a^5"), (), 2.0)
-    assert h.coefficients() == {(): 1.0}
-    h2 = f2_engine.h_chain(f2.parse("b"), f2.parse("a"), 4.0)
-    assert h2.coefficients() == {f2.parse("a"): 1.0}
+    h = chains.normalized(f2_engine.f_chain(f2.parse("a^5"), ()), 2.0)
+    assert h == {(): 1.0}
+    h2 = chains.normalized(f2_engine.f_chain(f2.parse("b"), f2.parse("a")), 4.0)
+    assert h2 == {f2.parse("a"): 1.0}
 
 
-def test_h_requires_p_at_least_2(f2_engine, f2):
-    with pytest.raises(ValueError):
-        f2_engine.h_chain(f2.parse("a"), (), 1.5)
+def test_h_requires_p_at_least_2(f2_engine):
+    # the engine does not depend on p; the cocycle, which fixes p, refuses
+    # an exponent outside [2, inf)
+    for p in (1.5, math.inf):
+        with pytest.raises(ValueError):
+            H.Cocycle(f2_engine, p)
+
+
+def test_shared_retractions_are_evaluated_once(z23):
+    # with delta = 1 every averaging node of (s t)^k has two flower members
+    # with one retraction; evaluating it once per member made the descent
+    # exponential, 8,191 misses at |x| = 140 (checked first, as it fails fast)
+    for k, misses in ((70, 13), (130, 25)):
+        engine = H.ChainEngine(z23)
+        x = z23.parse("s t") * k
+        assert engine.f_chain((), x) == {x[:10]: Fraction(1)}
+        assert engine.cache.misses == misses
+    for k in (20, 45, 70):
+        x = z23.parse("s t") * k
+        assert engine.f_chain((), x) == engine.f_chain_literal((), x)
 
 
 # ---------------------------------------------------------------- margins

@@ -111,11 +111,11 @@ def test_equivariance_literal(line2, line2_engine, by_endpoint):
 
 def test_h_normalization_multi_entry(line2, line2_engine, by_endpoint):
     for p in (2.0, 3.0, 4.5):
-        h = line2_engine.h_chain((), by_endpoint[40], p)
-        assert len(h.f) == 2
-        assert abs(H.norm_p(h.coefficients(), p) - 1.0) < 1e-12
+        f = line2_engine.f_chain((), by_endpoint[40])
+        assert len(f) == 2
+        assert abs(H.norm_p(chains.normalized(f, p), p) - 1.0) < 1e-12
         # two equal halves: norm is (2 (1/2)^p)^(1/p)
-        assert h.norm == pytest.approx((2 * 0.5 ** p) ** (1 / p))
+        assert H.norm_p(f, p) == pytest.approx((2 * 0.5 ** p) ** (1 / p))
 
 
 def test_cocycle_identity_grouped(line2, line2_engine, by_endpoint):
@@ -229,8 +229,8 @@ def test_rho_fitter_matches_dense_norms():
         samples = []
         for b, a, a2 in decay_triples(ball, 200, 12):
             try:
-                h1 = engine.h_chain(b, a, p).coefficients()
-                h2 = engine.h_chain(b, a2, p).coefficients()
+                h1 = chains.normalized(engine.f_chain(b, a), p)
+                h2 = chains.normalized(engine.f_chain(b, a2), p)
             except ExactnessError:
                 continue  # beyond the radius-60 ball; the fit skips these too
             norm = sum(abs(h1.get(w, 0.0) - h2.get(w, 0.0)) ** p for w in set(h1) | set(h2))
