@@ -28,6 +28,8 @@ _P_GRID = [round(2.0 + i * 0.1, 10) for i in range(621)]
 # rho^p * upsilon must fall below this, a safety margin under the 1/2 the
 # summability argument needs, because the decay base is only an estimate
 _P_TARGET = 0.25
+# a decay fit for a command draws at least this many triples
+MIN_FIT_SAMPLES = 200
 
 
 def estimate_upsilon(ball: CayleyBall) -> float:
@@ -250,6 +252,21 @@ def select_p(upsilon: float, rho_of_p) -> PSelection:
         f"no exponent p in [{_P_GRID[0]}, {_P_GRID[-1]}] reaches rho^p * upsilon < {_P_TARGET}; "
         f"last candidates: {candidates[-3:]}"
     )
+
+
+def fit_p(engine: ChainEngine, ball: CayleyBall, samples: int, seed: int,
+          p: float | str = "auto") -> tuple[float, DecayFit, float, PSelection | None]:
+    """The rule for p on every command: (p, the decay fit at p, upsilon, the
+    selection or None at a given p), fitted on ``ball`` from max(samples,
+    MIN_FIT_SAMPLES) triples drawn with ``seed``. Calls ``rho_fitter`` and
+    ``select_p`` through the module globals, where tools may wrap them."""
+    ups = estimate_upsilon(ball)
+    rho_of_p, fits = rho_fitter(engine, ball, max(samples, MIN_FIT_SAMPLES), seed)
+    if p == "auto":
+        sel = select_p(ups, rho_of_p)
+        return sel.p, fits[sel.p], ups, sel
+    rho_of_p(p)
+    return p, fits[p], ups, None
 
 
 def tail_bound(C: float, rho: float, p: float, upsilon: float, R: int, d: int) -> float:

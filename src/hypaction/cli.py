@@ -21,7 +21,7 @@ from pathlib import Path
 from . import analysis
 from .cayley import build_ball, certify_delta
 from .chains import chain_to_entries, norm_p, normalized
-from .cocycle import Cocycle
+from .cocycle import Cocycle, properness_floors
 from .errors import HypactionError
 from .flowers import ChainEngine
 from .groups import GroupSpec, spec_from_descriptor
@@ -93,39 +93,17 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _fit_and_select(cfg: RunConfig, engine: ChainEngine, radius: int):
-    """Fit the decay on B(e, radius) and select p from it: (selection, fits)."""
-    ball = build_ball(engine.spec, radius, cfg.max_vertices(radius))
-    ups = analysis.estimate_upsilon(ball)
-    rho_of_p, fits = analysis.rho_fitter(engine, ball, max(cfg.samples, 200), cfg.seed)
-    return analysis.select_p(ups, rho_of_p), fits
-
-
-def _resolve_p(cfg: RunConfig, engine: ChainEngine):
-    """(p, fit at p): p selected from fitted decay if 'auto', else (p, None)."""
-    if cfg.p != "auto":
-        return cfg.p, None
-    sel, fits = _fit_and_select(cfg, engine, min(cfg.radius, 8))
-    return sel.p, fits[sel.p]
-
-
 def _norm_setup(cfg: RunConfig, engine: ChainEngine):
-    """What every cocycle norm of one command is evaluated with.
+    """(p, fit, upsilon, window) for every cocycle norm of one command.
 
-    Returns (p, fit, upsilon, window). Exact tree families are evaluated
-    exactly and get no window or upsilon. Elsewhere the window is
-    B(e, radius); at a given p the decay is fitted on that window at that p.
-    """
+    B(e, radius) is the ball the decay is fitted on and, off exact trees, the
+    window; exact trees are evaluated with no window, and at a given p fit nothing."""
     spec = engine.spec
-    p, fit = _resolve_p(cfg, engine)
-    if spec.exact_tree:
-        return p, fit, None, None
-    window = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
-    if fit is None:
-        rho_of_p, fits = analysis.rho_fitter(engine, window, max(cfg.samples, 200), cfg.seed)
-        rho_of_p(p)
-        fit = fits[p]
-    return p, fit, analysis.estimate_upsilon(window), window
+    if spec.exact_tree and cfg.p != "auto":
+        return cfg.p, None, None, None
+    ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
+    p, fit, ups, _ = analysis.fit_p(engine, ball, cfg.samples, cfg.seed, cfg.p)
+    return p, fit, ups, None if spec.exact_tree else ball
 
 
 def _cocycle_payload(cfg: RunConfig, engine: ChainEngine, g, p, fit, ups, window) -> dict:
@@ -135,17 +113,17 @@ def _cocycle_payload(cfg: RunConfig, engine: ChainEngine, g, p, fit, ups, window
     res = coc.norm(g, window_ball=window, fit=fit, upsilon=ups,
                    audit_samples=min(cfg.samples, 50), seed=cfg.seed)
     count = coc.properness_count(g)
-    d = res.d_g_e
+    floor_20delta, floor_paper = properness_floors(res.d_g_e, spec.delta)
     return {
         "g": spec.label_word(g),
-        "d_g_e": d,
+        "d_g_e": res.d_g_e,
         "p": res.p,
         "lower": res.lower,
         "tail_bound": res.tail_bound,
         "exact": res.exact,
         "properness_count": count,
-        "bound_20delta_ok": res.lower >= 2 * (d - 20 * spec.delta - 1),
-        "paper_bound_ok": res.lower >= d - 100 * spec.delta,
+        "bound_20delta_ok": res.lower >= floor_20delta,
+        "paper_bound_ok": res.lower >= floor_paper,
     }
 
 
@@ -190,7 +168,7 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
         "entries": chain_to_entries(spec, f),
     }
     if which == "h":
-        p, _ = _resolve_p(cfg, engine)
+        p = cfg.p if cfg.p != "auto" else _norm_setup(cfg, engine)[0]
         payload["p"] = p
         payload["norm"] = norm_p(f, p)
         payload["coefficients"] = [
@@ -202,7 +180,8 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
 
 def cmd_select_p(cfg: RunConfig) -> int:
     spec = cfg.make_spec()
-    sel, _ = _fit_and_select(cfg, ChainEngine(spec), cfg.radius)
+    ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
+    *_, sel = analysis.fit_p(ChainEngine(spec), ball, cfg.samples, cfg.seed)
     _emit_json(sel.to_json(), cfg.output)
     return 0
 
@@ -318,23 +297,21 @@ def main(argv=None) -> int:
             return cmd_cocycle(cfg, args.g)
         if args.command == "verify":
             return cmd_verify(cfg, args.exhaustive_radius)
-        if args.command == "report":
-            words: list[str] = []
-            if args.powers:
-                words.extend(_expand_powers(args.powers))
-            if args.g_words:
-                words.extend(w.strip() for w in args.g_words.split(",") if w.strip())
-            if not words:
-                parser.error("report needs --g-words or --powers")
-            return cmd_report(cfg, words)
-        parser.error(f"unknown command {args.command}")
+        # the subparsers admit no other command than report
+        words: list[str] = []
+        if args.powers:
+            words.extend(_expand_powers(args.powers))
+        if args.g_words:
+            words.extend(w.strip() for w in args.g_words.split(",") if w.strip())
+        if not words:
+            parser.error("report needs --g-words or --powers")
+        return cmd_report(cfg, words)
     except HypactionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -25,6 +25,12 @@ from .groups import Word
 _MAX_WITNESSES = 5
 
 
+def properness_floors(d: int, delta: int) -> tuple[int, int]:
+    """Lower bounds on ||pi(g) eta - eta||_p^p at d = d(g, e): twice the least
+    properness count, 2 (d - 20 delta - 1), and the paper's d - 100 delta."""
+    return 2 * (d - 20 * delta - 1), d - 100 * delta
+
+
 @dataclass
 class CocycleResult:
     """Windowed evaluation of ||pi(g) eta - eta||_p^p.

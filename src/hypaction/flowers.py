@@ -156,32 +156,31 @@ class ChainEngine:
         shortcut or the shared cache. Slow; used for cross-validation."""
         spec = self.spec
         self._require_margin(a, len(spec.offset(a, b)) + spec.delta)
-        ten = self.ten_delta
-        memo: dict[Word, Chain] = {}
+        return self._literal(a, b, {})
 
-        def rec(bb: Word) -> Chain:
-            got = memo.get(bb)
-            if got is not None:
-                return got
-            d = len(spec._mul(spec._inv_word(a), bb))
-            if d <= ten:
-                out: Chain = {bb: Fraction(1)}
-            elif d % ten:
-                out = rec(self.project(a, bb))
-            else:
-                # every flower member lies at distance d from a, so it
-                # retracts to the same depth as bb
-                members = self.flower(a, bb)
-                share = Fraction(1, len(members))
-                acc: dict[Word, Fraction] = {}
-                for y in members:
-                    for w, c in rec(self.project(a, y)).items():
-                        acc[w] = acc.get(w, 0) + c
-                out = {w: share * c for w, c in acc.items()}
-            memo[bb] = out
-            return out
-
-        return rec(b)
+    def _literal(self, a: Word, bb: Word, memo: dict[Word, Chain]) -> Chain:
+        """f(a, bb) with the memo of one ``f_chain_literal`` call; a method, as
+        a recursive closure would leave a reference cycle behind each call."""
+        got = memo.get(bb)
+        if got is not None:
+            return got
+        d = len(self.spec._mul(self.spec._inv_word(a), bb))
+        if d <= self.ten_delta:
+            out: Chain = {bb: Fraction(1)}
+        elif d % self.ten_delta:
+            out = self._literal(a, self.project(a, bb), memo)
+        else:
+            # every flower member lies at distance d from a, so it
+            # retracts to the same depth as bb
+            members = self.flower(a, bb)
+            share = Fraction(1, len(members))
+            acc: dict[Word, Fraction] = {}
+            for y in members:
+                for w, c in self._literal(a, self.project(a, y), memo).items():
+                    acc[w] = acc.get(w, 0) + c
+            out = {w: share * c for w, c in acc.items()}
+        memo[bb] = out
+        return out
 
     # -- helpers ---------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import analysis, chains
 from .cayley import build_ball, certify_delta, distance
-from .cocycle import Cocycle
+from .cocycle import Cocycle, properness_floors
 from .errors import ExactnessError, FitError, OutOfWindowError, PSelectionError
 from .flowers import ChainEngine
 from .groups import GroupSpec
@@ -169,15 +169,14 @@ def run_suite(
     pairs = (_sample(rng, words, 2) for _ in range(max(10, samples // 10)))
     checks.append(_sampled_check("h-normalization", pairs, normalization_witness))
 
-    # 7. decay fits and exponent selection; with no samples nothing is fitted
-    selection = None
-    fit_passed, fit_details = False, {"evaluated": 0}
+    # 7. decay fits and exponent selection by the rule every command uses,
+    # lambda on the same triples; with no samples nothing is fitted
+    selection, fit_passed, fit_details = None, False, {"evaluated": 0}
     if samples > 0:
         try:
-            f_fit = analysis.fit_f_decay(engine, ball, samples, seed * 13 + 7)
-            ups = analysis.estimate_upsilon(ball)
-            rho_of_p, fits = analysis.rho_fitter(engine, ball, samples, seed * 13 + 7)
-            selection = analysis.select_p(ups, rho_of_p)
+            f_fit = analysis.fit_f_decay(engine, ball, max(samples, analysis.MIN_FIT_SAMPLES),
+                                         seed)
+            _, _, ups, selection = analysis.fit_p(engine, ball, samples, seed)
             fit_details = {
                 "lambda": f_fit.base,
                 "lambda_envelope_ok": f_fit.envelope_ok(),
@@ -196,7 +195,7 @@ def run_suite(
     checks.append(CheckResult("decay-and-p-selection", fit_passed, fit_details,
                               inconclusive=samples == 0))
 
-    # 8. cocycle identity over a small window
+    # 8. cocycle identity over a small window, at the probe if no p was selected
     p_run = selection.p if (p == "auto" and selection is not None) else p_probe
     coc = Cocycle(engine, p_run)
     rng = random.Random(seed * 13 + 8)
@@ -216,17 +215,16 @@ def run_suite(
 
     # 9. disjoint supports and properness counts on deep elements
     rng = random.Random(seed * 13 + 9)
-    ten = engine.ten_delta
 
     def properness_witness(length):
         g = _random_deep_word(spec, rng, length)
         count = coc.properness_count(g)
-        d = len(g)
-        if count < d - 2 * ten - 1 or count < d - 100 * spec.delta:
+        floor_20delta, floor_paper = properness_floors(len(g), spec.delta)
+        if 2 * count < floor_20delta or count < floor_paper:
             return {"g": spec.label_word(g), "count": count}
         if spec.exact_tree:
             res = coc.norm(g, audit_samples=10, seed=seed * 13 + 9)
-            if res.lower < 2 * (d - 2 * ten - 1):
+            if res.lower < floor_20delta:
                 return {"g": spec.label_word(g), "lower": res.lower}
         return None
 
@@ -237,7 +235,7 @@ def run_suite(
         "group": spec.name,
         "radius": radius,
         "delta": spec.delta,
-        "p": p_run,
+        "p": None if p == "auto" and selection is None else p_run,
         "seed": seed,
         "samples": samples,
         "passed": all(c.passed for c in checks),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypaction as H
-from hypaction.analysis import decay_triples, fit_envelope
+from hypaction.analysis import decay_triples, fit_envelope, fit_p
 from hypaction.chains import normalized
 from hypaction.errors import FitError, OutOfWindowError, PSelectionError
 
@@ -248,6 +248,23 @@ def test_select_p_always_summable(z23_engine, z23_ball8):
     payload = sel.to_json()
     assert payload["chosen_p"] == sel.p
     assert payload["candidates"][-1]["p"] == sel.p
+
+
+def test_fit_p_selects_from_at_least_200_triples(z23, z23_ball6):
+    ups = H.estimate_upsilon(z23_ball6)
+    rho_of_p, fits = H.rho_fitter(H.ChainEngine(z23), z23_ball6, 200, seed=3)
+    sel = H.select_p(ups, rho_of_p)
+    # 50 samples asked, 200 triples drawn: the fit is the one made from 200
+    p, fit, upsilon, selection = fit_p(H.ChainEngine(z23), z23_ball6, 50, 3)
+    assert (p, upsilon, selection.to_json()) == (sel.p, ups, sel.to_json())
+    assert fit.n_samples == 200 and fit.samples == fits[sel.p].samples
+    # at a given p nothing is selected and the fit is made at that p
+    p, fit, upsilon, selection = fit_p(H.ChainEngine(z23), z23_ball6, 300, 3, p=4.0)
+    rho_of_p, fits = H.rho_fitter(H.ChainEngine(z23), z23_ball6, 300, seed=3)
+    rho_of_p(4.0)
+    assert (p, upsilon, selection) == (4.0, ups, None)
+    assert (fit.base, fit.constant, fit.samples) == (fits[4.0].base, fits[4.0].constant,
+                                                     fits[4.0].samples)
 
 
 # ---------------------------------------------------------------- tail bounds

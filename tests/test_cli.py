@@ -281,6 +281,7 @@ def test_verify_without_samples_lists_the_fit_as_inconclusive(tmp_path):
     assert fit["inconclusive"] and not fit["passed"]
     assert fit["details"] == {"evaluated": 0}
     assert "decay-and-p-selection" in report["inconclusive"]
+    assert report["p"] is None  # not the probe p = 2 the other checks run at
 
 
 def test_config_fields_must_be_integers(tmp_path, capsys):
@@ -333,6 +334,18 @@ def test_report_selects_p_once(tmp_path, monkeypatch):
     assert len(rows) == 3
     assert len(calls) == 1
     assert len({row[2] for row in rows}) == 1
+
+
+def test_exact_trees_at_a_given_p_fit_nothing(tmp_path, monkeypatch):
+    from hypaction import analysis
+
+    fitted = []
+    monkeypatch.setattr(analysis, "rho_fitter", lambda *args: fitted.append(args))
+    for args in (["cocycle", "--g", "a^25"], ["report", "--powers", "a:3"],
+                 ["chain", "e", "a^12", "--which", "h"]):
+        code, _ = run_cli(args + ["--group", "free:2", "--radius", "9", "--p", "3"], tmp_path)
+        assert code == 0
+    assert fitted == []
 
 
 def test_non_finite_p_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -408,3 +421,48 @@ def test_pinned_selections(name, tmp_path, monkeypatch):
     (sel,) = selections
     assert [(c["p"], c["rho"]) for c in sel.candidates] == candidates
     assert sel.p == chosen
+
+
+# one configuration, one p: every command that uses p fits the decay on
+# B(e, --radius) with --seed and at least 200 triples. Radius 9 is above the
+# cap that an earlier fit ball had, and verify once drew its own triples
+SAME_P = {
+    "free2-delta2-radius9": (["--group", "free:2", "--delta", "2", "--radius", "9",
+                              "--samples", "200"], "a", 15.6),
+    "zm23-radius5": (["--group", "zm:2,3", "--radius", "5", "--seed", "0",
+                      "--samples", "200"], "st", 7.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_P))
+def test_every_command_uses_the_same_p(name, tmp_path):
+    flags, g, p = SAME_P[name]
+    printed = {}
+    for command in (["select-p"], ["chain", "e", g, "--which", "h"], ["cocycle", "--g", g],
+                    ["report", "--g-words", g], ["verify"]):
+        _, text = run_cli(command + flags, tmp_path, command[0])
+        if command[0] == "report":
+            printed["report"] = float(text.splitlines()[1].split(",")[2])
+        else:
+            payload = json.loads(text)
+            printed[command[0]] = payload["chosen_p" if command[0] == "select-p" else "p"]
+    assert printed == dict.fromkeys(printed, p)
+
+
+def test_verify_prints_no_p_where_none_was_selected(tmp_path, monkeypatch):
+    from hypaction import analysis
+    from hypaction.errors import PSelectionError
+
+    def no_selection(*args):
+        raise PSelectionError("no exponent reaches the target")
+
+    monkeypatch.setattr(analysis, "select_p", no_selection)
+    code, text = run_cli(["verify", "--group", "free:2", "--radius", "3", "--samples", "30"],
+                         tmp_path, "failed")
+    report = json.loads(text)
+    assert code == 1 and report["p"] is None
+    assert _check(report, "decay-and-p-selection") == {"error": "no exponent reaches the target"}
+    # a given p is printed as given
+    _, text = run_cli(["verify", "--group", "free:2", "--radius", "3", "--samples", "0",
+                       "--p", "3"], tmp_path, "given")
+    assert json.loads(text)["p"] == 3.0

@@ -1,5 +1,6 @@
 """Flowers, projections, and the recursive averaged chains."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,8 @@ import hypaction as H
 from hypaction import chains
 from hypaction.errors import ExactnessError
 from hypaction.suite import _random_deep_word
+
+from line2 import line2_ball_json
 
 
 # ---------------------------------------------------------------- flowers
@@ -278,6 +281,23 @@ def test_shared_retractions_are_evaluated_once(z23):
     for k in (20, 45, 70):
         x = z23.parse("s t") * k
         assert engine.f_chain((), x) == engine.f_chain_literal((), x)
+
+
+def test_literal_recursion_leaves_no_garbage_cycles():
+    # a self-referencing recursive closure made each literal call leave a
+    # reference cycle for the collector; f(e, q^40) on line2 spreads mass
+    spec = H.ball_from_json(line2_ball_json(45), delta=1)
+    engine = H.ChainEngine(spec)
+    x = spec.parse("q^40")
+    engine.f_chain_literal((), spec.parse("q^20"))  # builds the flower moves once
+    gc.collect()
+    gc.disable()
+    try:
+        f = engine.f_chain_literal((), x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(f) == 2 and f == engine.f_chain((), x)
 
 
 # ---------------------------------------------------------------- margins
