@@ -16,8 +16,9 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .cayley import CayleyBall, build_ball, gromov_product
-from .chains import norm_1, normalized_diff_pow, sub
-from .errors import ExactnessError, FitError, OutOfWindowError, PSelectionError
+from .chains import normalized_diff_pow
+from .errors import (ExactnessError, FitError, OutOfWindowError, PSelectionError,
+                     UnderdeterminedFitError)
 from .flowers import ChainEngine
 
 _LAMBDA_GRID = [i / 200.0 for i in range(1, 200)]
@@ -61,51 +62,33 @@ def fit_envelope(samples) -> DecayFit:
     """Fit the decay envelope over (gromov product, norm value) samples.
 
     The base is the smallest grid value whose minimal dominating constant
-    stays within ``_CAP_FACTOR`` times the largest observed value; this keeps
-    the constant bounded while reporting the fastest decay the data
-    supports. Data that is flat up to a cutoff and zero beyond it (the tree
-    case) then yields a base strictly below 1 with a moderate constant.
-    The constant is taken over the distinct positive samples, so order and
-    repeats do not change the fit; ``n_samples`` and ``n_positive`` count all.
-
-    The base is found by bisection over the grid, in eight evaluations of
-    the constant. A Gromov product is never negative, and for x >= 0 the term
-    v * lam^(-x) does not increase with lam, so neither does the constant
-    c(lam): the cap test fails and then holds along the grid, and the first
-    grid value that passes is the one a scan in order would return.
-    Products are half-integers and adjacent grid values differ by at least
-    0.5%, so for x >= 1/2 adjacent constants differ by about 0.25% or more,
-    far above rounding error. A negative product breaks this: FitError. A
-    constant beyond every float fails the cap. If no grid value passes, the
-    loosest one is used; the envelope stays valid.
+    stays within cap, ``_CAP_FACTOR`` times the largest value: the fastest
+    decay the data supports with a bounded constant. Flat data with a cutoff
+    (the tree case) yields a base below 1 and a moderate constant. The cap
+    test max v * lam^(-x) <= cap holds exactly when lam >= (v / cap)^(1/x)
+    for every positive sample with x > 0; one with x = 0 never binds, since
+    v <= cap. So the base is the first grid value at or above the largest
+    such floor (0 if there is none), or the loosest grid value if none
+    reaches it; the envelope stays valid. A Gromov product is never
+    negative: FitError. Order and repeats do not change the fit;
+    ``n_samples`` and ``n_positive`` count all samples. On the samples of
+    ``rho_fitter`` at p = 1 this is lambda, the decay of the f chains.
     """
     pts = [(float(x), float(v)) for x, v in samples]
     if not all(x >= 0 for x, _ in pts):
         raise FitError("a Gromov product is never negative; the decay fit needs x >= 0")
     if len({x for x, _ in pts}) < 2:
-        raise FitError("decay fit is underdetermined: all Gromov products are equal")
+        raise UnderdeterminedFitError(len(pts))
     positive = [(x, v) for x, v in pts if v > 0]
     if not positive:
         return DecayFit(
             constant=0.0, base=0.5, n_samples=len(pts), n_positive=0, samples=pts,
         )
-    distinct = sorted(set(positive))  # repeats cannot change a maximum
+    distinct = set(positive)  # repeats cannot change a maximum
     cap = _CAP_FACTOR * max(v for _, v in distinct)
-
-    def dominating(lam: float) -> float:
-        return max(v * lam ** (-x) for x, v in distinct)
-
-    def within_cap(lam: float) -> bool:
-        try:
-            return dominating(lam) <= cap
-        except OverflowError:  # the constant exceeds every float, and so the cap
-            return False
-
-    i = bisect_left(_LAMBDA_GRID, True, key=within_cap)
-    base = _LAMBDA_GRID[min(i, len(_LAMBDA_GRID) - 1)]
-    constant = dominating(base) * (1.0 + 1e-9)
-    if base >= 1.0:
-        raise FitError("no decay base below 1 dominates the samples")
+    floor = max(((v / cap) ** (1.0 / x) for x, v in distinct if x > 0), default=0.0)
+    base = _LAMBDA_GRID[min(bisect_left(_LAMBDA_GRID, floor), len(_LAMBDA_GRID) - 1)]
+    constant = max(v * base ** (-x) for x, v in distinct) * (1.0 + 1e-9)
     fit = DecayFit(
         constant=constant, base=base, n_samples=len(pts), n_positive=len(positive),
         samples=pts,
@@ -168,12 +151,11 @@ def _supported_triples(engine: ChainEngine, ball: CayleyBall, sample_count: int,
 
 
 def fit_f_decay(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: int) -> DecayFit:
-    """Envelope for ||f(b,a) - f(b,a')||_1 against (a|a')_b."""
-    samples = [
-        (x, float(norm_1(sub(f1, f2))))
-        for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed)
-    ]
-    return fit_envelope(samples)
+    """lambda, the envelope of ||f(b,a) - f(b,a')||_1 against (a|a')_b: f is a
+    convex combination, so h = f at p = 1, and this is ``rho_fitter`` at p = 1."""
+    rho_of_p, fits = rho_fitter(engine, ball, sample_count, seed)
+    rho_of_p(1.0)
+    return fits[1.0]
 
 
 def rho_fitter(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: int):
@@ -181,7 +163,8 @@ def rho_fitter(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: i
 
     Returns (rho_of_p, fits): the callable fits the envelope of
     ||h(b,a) - h(b,a')||_p against (a|a')_b at each requested p (the decay
-    base may depend on p) and records the DecayFit.
+    base may depend on p) and records the DecayFit. At p = 1, h = f and the
+    fit is lambda (``fit_f_decay``).
 
     Triples whose chains give ``normalized_diff_pow`` the same float
     operands in the same order share one evaluation per p; on a tree the

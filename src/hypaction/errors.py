@@ -26,7 +26,17 @@ class InvariantViolation(HypactionError):
 
 
 class FitError(HypactionError):
-    """Decay-envelope fitting failed (underdetermined or no admissible base)."""
+    """Decay-envelope fitting failed: a negative product, no data that determine
+    the fit, or a failed self-check."""
+
+
+class UnderdeterminedFitError(FitError):
+    """Fewer than two distinct Gromov products among the samples of a fit."""
+
+    def __init__(self, n_samples: int):
+        super().__init__(f"decay fit is underdetermined: {n_samples} supported triples "
+                         "give fewer than two distinct Gromov products")
+        self.n_samples = n_samples
 
 
 class PSelectionError(HypactionError):

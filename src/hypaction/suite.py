@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import analysis, chains
 from .cayley import build_ball, certify_delta, distance
 from .cocycle import Cocycle, properness_floors
-from .errors import ExactnessError, FitError, OutOfWindowError, PSelectionError
+from .errors import (ExactnessError, FitError, OutOfWindowError, PSelectionError,
+                     UnderdeterminedFitError)
 from .flowers import ChainEngine
 from .groups import GroupSpec
 
@@ -170,7 +171,7 @@ def run_suite(
     checks.append(_sampled_check("h-normalization", pairs, normalization_witness))
 
     # 7. decay fits and exponent selection by the rule every command uses,
-    # lambda on the same triples; with no samples nothing is fitted
+    # lambda on the same triples; inconclusive with no samples or no fit determined
     selection, fit_passed, fit_details = None, False, {"evaluated": 0}
     if samples > 0:
         try:
@@ -190,10 +191,12 @@ def run_suite(
                 and f_fit.envelope_ok()
                 and selection.rho_used ** selection.p * ups < 0.5
             )
+        except UnderdeterminedFitError as exc:
+            fit_details = {"evaluated": exc.n_samples, "error": str(exc)}
         except (FitError, PSelectionError) as exc:
             fit_details = {"error": str(exc)}
     checks.append(CheckResult("decay-and-p-selection", fit_passed, fit_details,
-                              inconclusive=samples == 0))
+                              inconclusive="evaluated" in fit_details))
 
     # 8. cocycle identity over a small window, at the probe if no p was selected
     p_run = selection.p if (p == "auto" and selection is not None) else p_probe

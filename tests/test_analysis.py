@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypaction as H
-from hypaction.analysis import decay_triples, fit_envelope, fit_p
-from hypaction.chains import normalized
-from hypaction.errors import FitError, OutOfWindowError, PSelectionError
+from hypaction.analysis import _supported_triples, decay_triples, fit_envelope, fit_p
+from hypaction.chains import norm_1, normalized, sub
+from hypaction.errors import FitError, OutOfWindowError, PSelectionError, UnderdeterminedFitError
 
 from line2 import line2_ball_json
 
@@ -83,8 +83,12 @@ def test_envelope_zero_samples():
 
 
 def test_envelope_underdetermined():
-    with pytest.raises(FitError):
-        fit_envelope([(2.0, 1.0), (2.0, 0.5)])
+    # one Gromov product, or none: the error names how many samples there were
+    for samples in ([(2.0, 1.0), (2.0, 0.5)], []):
+        with pytest.raises(UnderdeterminedFitError) as info:
+            fit_envelope(samples)
+        assert info.value.n_samples == len(samples)
+        assert f"{len(samples)} supported triples" in str(info.value)
 
 
 def test_envelope_genuine_decay():
@@ -97,7 +101,8 @@ def test_envelope_genuine_decay():
 
 
 def test_envelope_rejects_a_negative_gromov_product():
-    # the bisection over the grid needs every lam^(-x) to fall as lam grows
+    # a Gromov product is never negative; the floor (v / cap)^(1/x) of the
+    # base is defined for x > 0 only, and x = 0 never binds
     with pytest.raises(FitError):
         fit_envelope([(-1.0, 1.0), (0.0, 1.0), (3.0, 0.5)])
 
@@ -109,7 +114,7 @@ def _fit_key(fit):
 def scan_fit(samples):
     """(constant, base, n_samples, n_positive) of the envelope, by trying
     every grid base in order over every positive sample, in the given order;
-    a reference for the bisection in fit_envelope."""
+    a reference for the closed form in fit_envelope."""
     positive = [(x, v) for x, v in samples if v > 0]
     if not positive:
         return 0.0, 0.5, len(samples), 0
@@ -144,7 +149,9 @@ def decay_samples(draw):
 @example([(0.0, 1.0), (200.0, 1.0)])  # 0.005^-200 is beyond every float
 @example([(0.0, 1.0), (2000.0, 1.0)])  # no grid base passes: the last, 0.995
 @example([(0.0, 0.0), (1.0, 0.0)])  # no positive value
-def test_envelope_search_equals_the_scan(samples):
+@example([(0.0, 2.0), (2.5, 2.0), (3.0, 0.0)])  # step at X = 2.5: (1/32)^(1/X) = 0.25
+@example([(0.0, 2.0), (5.0, 2.0), (5.5, 0.0)])  # step at X = 5: (1/32)^(1/X) = 0.5
+def test_envelope_closed_form_equals_the_scan(samples):
     if len({x for x, _ in samples}) < 2:
         with pytest.raises(FitError):
             fit_envelope(samples)
@@ -180,6 +187,27 @@ def test_fit_f_decay_product(z23_engine, z23_ball8):
     assert fit.base < 1.0
     assert fit.envelope_ok()
     assert fit.n_positive > 0
+
+
+def exact_l1_fit(engine, ball, sample_count, seed):
+    """The envelope of ||f(b,a) - f(b,a')||_1 summed exactly in Fractions and
+    then converted to float: a reference for lambda as the fit at p = 1."""
+    return fit_envelope([(x, float(norm_1(sub(f1, f2))))
+                         for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed)])
+
+
+@pytest.mark.parametrize("family, radius", [("free:2", 6), ("zm:2,3", 8), ("line2", 20)])
+def test_lambda_is_the_rho_fit_at_p_1(family, radius):
+    if family == "line2":
+        spec = H.ball_from_json(line2_ball_json(60), delta=1)
+    else:
+        spec = H.spec_from_descriptor(family)
+    engine, ball = H.ChainEngine(spec), H.build_ball(spec, radius)
+    fit = H.fit_f_decay(engine, ball, 1500, seed=46)
+    assert fit == exact_l1_fit(engine, ball, 1500, seed=46)
+    assert fit.n_positive > 0
+    if family == "line2":  # chains spread, so some difference lies strictly inside (0, 2)
+        assert any(0 < v < 2 for _, v in fit.samples)
 
 
 def test_fit_h_decay_trivial_bound(z23_engine, z23_ball8):

@@ -284,6 +284,24 @@ def test_verify_without_samples_lists_the_fit_as_inconclusive(tmp_path):
     assert report["p"] is None  # not the probe p = 2 the other checks run at
 
 
+def test_verify_lists_a_fit_nothing_determines_as_inconclusive(tmp_path):
+    # on B(e, 0) every triple has b = a = e and Gromov product 0; on a radius-1
+    # line2 ball file the margins leave 4 supported triples, all with one product
+    ball_path = tmp_path / "line2r1.json"
+    ball_path.write_text(json.dumps(line2_ball_json(1)))
+    for group, radius, samples, supported in (("free:2", "0", "50", 200),
+                                              (f"ball:{ball_path}", "1", "300", 4)):
+        code, text = run_cli(["verify", "--group", group, "--radius", radius,
+                              "--samples", samples], tmp_path)
+        assert code == 3
+        report = json.loads(text)
+        assert "decay-and-p-selection" in report["inconclusive"]
+        fit = _check(report, "decay-and-p-selection")
+        assert fit["evaluated"] == supported
+        assert f"{supported} supported triples" in fit["error"]
+        assert report["p"] is None
+
+
 def test_config_fields_must_be_integers(tmp_path, capsys):
     for i, field in enumerate(({"radius": "5"}, {"samples": 2.5}, {"seed": True})):
         path = tmp_path / f"typed{i}.json"
