@@ -15,7 +15,7 @@ from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field
 
-from .cayley import CayleyBall, build_ball, gromov_product
+from .cayley import CayleyBall, build_ball
 from .chains import normalized_diff_pow
 from .errors import (ExactnessError, FitError, OutOfWindowError, PSelectionError,
                      UnderdeterminedFitError)
@@ -73,29 +73,37 @@ def fit_envelope(samples) -> DecayFit:
     negative: FitError. Order and repeats do not change the fit;
     ``n_samples`` and ``n_positive`` count all samples. On the samples of
     ``rho_fitter`` at p = 1 this is lambda, the decay of the f chains.
+
+    Every quantity of the fit is a maximum or an all-test over the samples,
+    so it is computed on the distinct (x, v) points: ``rho_fitter`` hands
+    those to the same core at each p, without building them from the list.
     """
     pts = [(float(x), float(v)) for x, v in samples]
-    if not all(x >= 0 for x, _ in pts):
+    return _fit_points(set(pts), len(pts), sum(v > 0 for _, v in pts), pts)
+
+
+def _fit_points(points, n_samples: int, n_positive: int, samples) -> DecayFit:
+    """The envelope over the distinct (x, v) ``points`` of ``samples``, which
+    hold ``n_samples`` samples, ``n_positive`` of them with v > 0."""
+    if not all(x >= 0 for x, _ in points):
         raise FitError("a Gromov product is never negative; the decay fit needs x >= 0")
-    if len({x for x, _ in pts}) < 2:
-        raise UnderdeterminedFitError(len(pts))
-    positive = [(x, v) for x, v in pts if v > 0]
+    if len({x for x, _ in points}) < 2:
+        raise UnderdeterminedFitError(n_samples)
+    positive = [(x, v) for x, v in points if v > 0]
     if not positive:
         return DecayFit(
-            constant=0.0, base=0.5, n_samples=len(pts), n_positive=0, samples=pts,
+            constant=0.0, base=0.5, n_samples=n_samples, n_positive=0, samples=samples,
         )
-    distinct = set(positive)  # repeats cannot change a maximum
-    cap = _CAP_FACTOR * max(v for _, v in distinct)
-    floor = max(((v / cap) ** (1.0 / x) for x, v in distinct if x > 0), default=0.0)
+    cap = _CAP_FACTOR * max(v for _, v in positive)
+    floor = max(((v / cap) ** (1.0 / x) for x, v in positive if x > 0), default=0.0)
     base = _LAMBDA_GRID[min(bisect_left(_LAMBDA_GRID, floor), len(_LAMBDA_GRID) - 1)]
-    constant = max(v * base ** (-x) for x, v in distinct) * (1.0 + 1e-9)
-    fit = DecayFit(
-        constant=constant, base=base, n_samples=len(pts), n_positive=len(positive),
-        samples=pts,
-    )
-    if not fit.envelope_ok():
+    constant = max(v * base ** (-x) for x, v in positive) * (1.0 + 1e-9)
+    if not all(v <= constant * base ** x for x, v in points):
         raise FitError("envelope fit failed to dominate its own samples")
-    return fit
+    return DecayFit(
+        constant=constant, base=base, n_samples=n_samples, n_positive=n_positive,
+        samples=samples,
+    )
 
 
 def decay_triples(ball: CayleyBall, sample_count: int, seed: int):
@@ -132,19 +140,35 @@ def decay_triples(ball: CayleyBall, sample_count: int, seed: int):
 
 
 def _supported_triples(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: int):
-    """(Gromov product (a|a')_b, f(b, a), f(b, a')) for each sampled triple.
+    """(Gromov product (a|a')_b, f(e, u), f(e, u')) for each sampled triple,
+    with u = b^-1 a and u' = b^-1 a'.
 
-    Triples that an explicit ball cannot support are skipped one by one;
+    b is sampled, so a fit on B(e, R) sees offsets u in B(e, 2R); each triple
+    is then evaluated at the identity by left-invariance: (a|a')_b is
+    (|u| + |u'| - d(a, a'))/2, and f(b, a) = b . f(e, u) is a translate, whose
+    normalized differences are those of f(e, u). Each chain is given as
+    ``ChainEngine._f_point_basepoint`` gives it, a word for a point mass.
+    Triples that an explicit ball cannot support are skipped one by one, by
+    the margin test of ``f_chain`` and the products of ``gromov_product``;
     their values are undefined rather than zero.
     """
     spec = engine.spec
+    mul, inv, delta = spec._mul, spec._inv_word, spec.delta
+    chain_at = engine._f_point_basepoint
     out = []
     for b, a, a2 in decay_triples(ball, sample_count, seed):
         try:
-            f1 = engine.f_chain(b, a)
-            # a third of the triples repeat a, and point masses are not memoized
-            f2 = f1 if a2 == a else engine.f_chain(b, a2)
-            out.append((float(gromov_product(spec, b, a, a2)), f1, f2))
+            b_inv = inv(b)
+            u = mul(b_inv, a)
+            engine._require_margin(b, len(u) + delta)
+            f1 = chain_at(u)
+            if a2 == a:  # a third of the triples; a^-1 a = e
+                out.append((float(len(u)), f1, f1))
+                continue
+            u2 = mul(b_inv, a2)
+            engine._require_margin(b, len(u2) + delta)
+            f2 = chain_at(u2)
+            out.append(((len(u) + len(u2) - len(mul(inv(a), a2))) / 2, f1, f2))
         except (ExactnessError, OutOfWindowError):
             continue
     return out
@@ -158,39 +182,61 @@ def fit_f_decay(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: 
     return fits[1.0]
 
 
+# the signature of two unit point masses, at one point (True) or at two, as
+# rho_fitter reads it off their float chains
+_POINT_PAIRS = {True: ((1.0,), (1.0,), (1.0,), ()), False: ((1.0,), (1.0,), (None,), (1.0,))}
+
+
+def _float_chain(f) -> dict:
+    """A chain, or the word of a point mass, with float coefficients."""
+    return {w: float(c) for w, c in f.items()} if isinstance(f, dict) else {f: 1.0}
+
+
 def rho_fitter(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: int):
     """A per-p decay fitter reusing one sampled triple set.
 
     Returns (rho_of_p, fits): the callable fits the envelope of
     ||h(b,a) - h(b,a')||_p against (a|a')_b at each requested p (the decay
     base may depend on p) and records the DecayFit. At p = 1, h = f and the
-    fit is lambda (``fit_f_decay``).
+    fit is lambda (``fit_f_decay``). The triples are drawn with b sampled
+    and evaluated once, at the identity (``_supported_triples``).
 
     Triples whose chains give ``normalized_diff_pow`` the same float
-    operands in the same order share one evaluation per p; on a tree the
-    chains are unit point masses and all triples reduce to two such pairs.
+    operands in the same order share one chain pair; on a tree the chains
+    are unit point masses and all triples reduce to two such pairs. A
+    sample is keyed by (x, pair), and neither depends on p: a grid p costs
+    one evaluation per pair and a fit over the distinct keys, which equals
+    ``fit_envelope`` over the full sample list that the DecayFit records.
     """
     pairs: dict[tuple, int] = {}  # operand signature -> index into ``chains``
     chains: list[tuple[dict, dict]] = []
     keyed: list[tuple[float, int]] = []
     for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed):
-        # normalized_diff_pow reads coefficients through float(): convert once, not per p
-        g1 = {w: float(c) for w, c in f1.items()}
-        g2 = {w: float(c) for w, c in f2.items()}
-        sig = (tuple(g1.values()), tuple(g2.values()), tuple(g2.get(w) for w in g1),
-               tuple(c for w, c in g2.items() if w not in g1))
+        if isinstance(f1, dict) or isinstance(f2, dict):
+            g1, g2 = _float_chain(f1), _float_chain(f2)
+            sig = (tuple(g1.values()), tuple(g2.values()), tuple(g2.get(w) for w in g1),
+                   tuple(c for w, c in g2.items() if w not in g1))
+        else:
+            sig = _POINT_PAIRS[f1 == f2]
         i = pairs.setdefault(sig, len(chains))
         if i == len(chains):
-            chains.append((g1, g2))
+            # normalized_diff_pow reads coefficients through float(): convert once, not per p
+            chains.append((_float_chain(f1), _float_chain(f2)))
         keyed.append((x, i))
+    slot: dict[tuple[float, int], int] = {}  # distinct key -> its first position
+    order = [slot.setdefault(k, len(slot)) for k in keyed]
+    per_pair = [0] * len(chains)  # samples with each chain pair
+    for _, i in keyed:
+        per_pair[i] += 1
     fits: dict[float, DecayFit] = {}
 
     def rho_of_p(p: float) -> float:
         if p in fits:
             return fits[p].base
         vals = [normalized_diff_pow(g1, g2, p) ** (1.0 / p) for g1, g2 in chains]
-        samples = [(x, vals[i]) for x, i in keyed]
-        fit = fit_envelope(samples)
+        points = [(x, vals[i]) for x, i in slot]
+        fit = _fit_points(set(points), len(order), sum(n for n, v in zip(per_pair, vals) if v > 0),
+                          [points[j] for j in order])
         fits[p] = fit
         return fit.base
 

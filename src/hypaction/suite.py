@@ -170,17 +170,24 @@ def run_suite(
     pairs = (_sample(rng, words, 2) for _ in range(max(10, samples // 10)))
     checks.append(_sampled_check("h-normalization", pairs, normalization_witness))
 
-    # 7. decay fits and exponent selection by the rule every command uses,
-    # lambda on the same triples; inconclusive with no samples or no fit determined
+    # 7. decay fits and exponent selection by the rule of ``analysis.fit_p``,
+    # lambda as the same fitter's fit at p = 1; each fit must equal the
+    # envelope refitted from its full sample list. Inconclusive with no
+    # samples or no fit determined
     selection, fit_passed, fit_details = None, False, {"evaluated": 0}
     if samples > 0:
         try:
-            f_fit = analysis.fit_f_decay(engine, ball, max(samples, analysis.MIN_FIT_SAMPLES),
-                                         seed)
-            _, _, ups, selection = analysis.fit_p(engine, ball, samples, seed)
+            rho_of_p, fits = analysis.rho_fitter(
+                engine, ball, max(samples, analysis.MIN_FIT_SAMPLES), seed)
+            rho_of_p(1.0)
+            ups = analysis.estimate_upsilon(ball)
+            selection = analysis.select_p(ups, rho_of_p)
+            f_fit, p_fit = fits[1.0], fits[selection.p]
+            refit_equal = all(analysis.fit_envelope(fit.samples) == fit for fit in (f_fit, p_fit))
             fit_details = {
                 "lambda": f_fit.base,
                 "lambda_envelope_ok": f_fit.envelope_ok(),
+                "refit_equal": refit_equal,
                 "upsilon": ups,
                 "chosen_p": selection.p,
                 "rho": selection.rho_used,
@@ -189,6 +196,7 @@ def run_suite(
             fit_passed = (
                 f_fit.base < 1.0
                 and f_fit.envelope_ok()
+                and refit_equal
                 and selection.rho_used ** selection.p * ups < 0.5
             )
         except UnderdeterminedFitError as exc:

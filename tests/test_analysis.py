@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypaction as H
-from hypaction.analysis import _supported_triples, decay_triples, fit_envelope, fit_p
+from hypaction.analysis import decay_triples, fit_envelope, fit_p
 from hypaction.chains import norm_1, normalized, sub
 from hypaction.errors import FitError, OutOfWindowError, PSelectionError, UnderdeterminedFitError
 
+from decay_reference import translated_triples
 from line2 import line2_ball_json
 
 
@@ -190,10 +191,11 @@ def test_fit_f_decay_product(z23_engine, z23_ball8):
 
 
 def exact_l1_fit(engine, ball, sample_count, seed):
-    """The envelope of ||f(b,a) - f(b,a')||_1 summed exactly in Fractions and
-    then converted to float: a reference for lambda as the fit at p = 1."""
+    """The envelope of ||f(b,a) - f(b,a')||_1 summed exactly in Fractions over
+    the translated chains and then converted to float: a reference for lambda
+    as the fit at p = 1."""
     return fit_envelope([(x, float(norm_1(sub(f1, f2))))
-                         for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed)])
+                         for x, f1, f2 in translated_triples(engine, ball, sample_count, seed)])
 
 
 @pytest.mark.parametrize("family, radius", [("free:2", 6), ("zm:2,3", 8), ("line2", 20)])
@@ -293,6 +295,39 @@ def test_fit_p_selects_from_at_least_200_triples(z23, z23_ball6):
     assert (p, upsilon, selection) == (4.0, ups, None)
     assert (fit.base, fit.constant, fit.samples) == (fits[4.0].base, fits[4.0].constant,
                                                      fits[4.0].samples)
+
+
+# the point-mass families fitted on B(e, 5) from 200 triples, with the
+# largest Gromov product X of a nonzero difference, rho and p as measured
+STEP_FITS = {
+    "free:2": ("free:2", 1, 0, (9.0, 0.685, 8.0)),
+    "free:3": ("free:3", 1, 0, (9.0, 0.685, 8.9)),
+    "free:2-delta2": ("free:2", 2, 0, (10.0, 0.71, 8.8)),
+    "zm:2,3-seed0": ("zm:2,3", 1, 0, (9.5, 0.695, 7.7)),
+    "zm:2,3-seed7": ("zm:2,3", 1, 7, (9.0, 0.685, 7.4)),
+    "zm:3,4": ("zm:3,4", 1, 0, (9.5, 0.695, 8.8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_FITS))
+def test_step_data_select_p_in_closed_form(name):
+    # point-mass chains differ by 0 or 2^(1/p), so the floor (v / cap)^(1/x)
+    # is (1/32)^(1/x), largest at X: rho is the first grid value at or above
+    # (1/32)^(1/X) at every p, and p the first grid p with rho^p upsilon < 1/4
+    descriptor, delta, seed, pinned = STEP_FITS[name]
+    spec = H.spec_from_descriptor(descriptor, delta=delta)
+    ball = H.build_ball(spec, 5)
+    ups = H.estimate_upsilon(ball)
+    rho_of_p, fits = H.rho_fitter(H.ChainEngine(spec), ball, 200, seed)
+    sel = H.select_p(ups, rho_of_p)
+    for c in sel.candidates:
+        fit = fits[c["p"]]
+        assert {v for _, v in fit.samples} == {0.0, 2 ** (1 / c["p"])}
+        X = max(x for x, v in fit.samples if v > 0)
+        rho = next(i / 200 for i in range(1, 200) if i / 200 >= (1 / 32) ** (1 / X))
+        assert c["rho"] == rho
+    p = next(k / 10 for k in range(20, 641) if rho ** (k / 10) * ups < 0.25)
+    assert (X, rho, p) == (X, sel.rho_used, sel.p) == pinned
 
 
 # ---------------------------------------------------------------- tail bounds

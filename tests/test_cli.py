@@ -354,6 +354,44 @@ def test_report_selects_p_once(tmp_path, monkeypatch):
     assert len({row[2] for row in rows}) == 1
 
 
+def test_verify_draws_the_decay_triples_once(tmp_path, monkeypatch):
+    # lambda is the p = 1 fit of the one fitter that selects p, and both
+    # fits equal the envelope refitted from their full sample lists
+    from hypaction import analysis
+
+    calls = []
+    rho_fitter = analysis.rho_fitter
+
+    def counting_rho_fitter(*args):
+        calls.append(args)
+        return rho_fitter(*args)
+
+    monkeypatch.setattr(analysis, "rho_fitter", counting_rho_fitter)
+    for group in ("free:2", "zm:2,3"):
+        calls.clear()
+        code, text = run_cli(["verify", "--group", group, "--radius", "4", "--samples", "100"],
+                             tmp_path, group)
+        assert code == 0
+        assert len(calls) == 1
+        assert _check(json.loads(text), "decay-and-p-selection")["refit_equal"] is True
+
+
+def test_verify_fails_a_fit_that_its_refit_does_not_reproduce(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from hypaction import analysis
+
+    fit_envelope = analysis.fit_envelope
+    monkeypatch.setattr(analysis, "fit_envelope",
+                        lambda samples: replace(fit_envelope(samples), n_positive=-1))
+    code, text = run_cli(["verify", "--group", "free:2", "--radius", "4", "--samples", "100"],
+                         tmp_path)
+    report = json.loads(text)
+    check = next(c for c in report["checks"] if c["name"] == "decay-and-p-selection")
+    assert code == 1 and not check["passed"] and not check["inconclusive"]
+    assert check["details"]["refit_equal"] is False
+
+
 def test_exact_trees_at_a_given_p_fit_nothing(tmp_path, monkeypatch):
     from hypaction import analysis
 

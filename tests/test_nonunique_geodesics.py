@@ -14,11 +14,12 @@ from fractions import Fraction
 import pytest
 
 import hypaction as H
-from hypaction import chains
-from hypaction.analysis import _supported_triples, decay_triples, fit_envelope
+from hypaction import analysis, chains
+from hypaction.analysis import decay_triples, fit_envelope
 from hypaction.errors import ExactnessError, OutOfWindowError
 from hypaction.suite import _sample, run_suite
 
+from decay_reference import translated_sample, translated_triples
 from line2 import endpoint, line2_ball_json
 
 
@@ -242,20 +243,26 @@ def test_rho_fitter_matches_dense_norms():
 
 
 def test_rho_fitter_equals_fits_from_exact_chains():
-    # the fitter converts each chain to floats once; fitting from the
-    # Fraction chains at each p gives equal fits on every grid p up to p*
-    spec = H.ball_from_json(line2_ball_json(60), delta=1)
-    engine = H.ChainEngine(spec)
-    ball = H.build_ball(spec, 20)
-    rho_of_p, fits = H.rho_fitter(engine, ball, 200, seed=12)
-    sel = H.select_p(H.estimate_upsilon(ball), rho_of_p)
-    triples = _supported_triples(engine, ball, 200, 12)
-    assert any(len(f) > 1 for t in triples for f in t[1:])  # spread chains with 1/2 weights
-    assert sorted(fits) == [c["p"] for c in sel.candidates]
-    for p, fit in fits.items():
-        samples = [(x, chains.normalized_diff_pow(f1, f2, p) ** (1.0 / p))
-                   for x, f1, f2 in triples]
-        assert fit == fit_envelope(samples)
+    # the fitter evaluates each triple once, at the identity, converts each
+    # chain to floats once and fits each grid p on its distinct samples;
+    # fitting the translated Fraction chains at each p, and refitting each
+    # fit's own sample list, give equal fits on every grid p up to p*
+    line2 = H.ball_from_json(line2_ball_json(60), delta=1)
+    for spec, radius in [(line2, 20), (H.spec_from_descriptor("free:2"), 6),
+                         (H.spec_from_descriptor("free:2", delta=2), 6),
+                         (H.spec_from_descriptor("zm:2,3"), 8)]:
+        engine = H.ChainEngine(spec)
+        ball = H.build_ball(spec, radius)
+        rho_of_p, fits = H.rho_fitter(engine, ball, 200, seed=12)
+        sel = H.select_p(H.estimate_upsilon(ball), rho_of_p)
+        triples = translated_triples(engine, ball, 200, 12)
+        if spec is line2:  # spread chains with 1/2 weights
+            assert any(len(f) > 1 for t in triples for f in t[1:])
+        assert sorted(fits) == [c["p"] for c in sel.candidates]
+        for p, fit in fits.items():
+            samples = [(x, chains.normalized_diff_pow(f1, f2, p) ** (1.0 / p))
+                       for x, f1, f2 in triples]
+            assert fit == fit_envelope(samples) == fit_envelope(fit.samples)
 
 
 def test_fits_skip_triples_outside_the_ball():
@@ -274,6 +281,27 @@ def test_fits_skip_triples_outside_the_ball():
     f_fit = H.fit_f_decay(engine, ball, 300, seed=1)
     assert f_fit.n_samples == used
     assert f_fit.base < 1.0 and f_fit.envelope_ok()
+
+
+def test_identity_evaluation_keeps_the_triples_that_f_chain_keeps(monkeypatch):
+    # each triple is fitted alone: the fitter's evaluation at the identity
+    # keeps it exactly where f_chain and gromov_product, evaluated at b,
+    # support it, and then gives the same product and the translated chains
+    spec = H.ball_from_json(line2_ball_json(10), delta=1)
+    ball = H.build_ball(spec, 8)
+    engine = H.ChainEngine(spec)
+    triples, kept = decay_triples(ball, 300, 1), 0
+    for b, a, a2 in triples:
+        monkeypatch.setattr(analysis, "decay_triples", lambda *args: [(b, a, a2)])
+        got = analysis._supported_triples(engine, ball, 1, 0)
+        want = translated_sample(engine, b, a, a2)
+        assert len(got) == (want is not None)
+        if got:
+            ((x, f1, f2),) = got
+            assert (x, chains.translate(spec, b, chains.as_chain(f1)),
+                    chains.translate(spec, b, chains.as_chain(f2))) == want
+            kept += 1
+    assert 0 < kept < len(triples)
 
 
 @pytest.fixture(scope="module")
