@@ -14,6 +14,7 @@ import random
 from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .cayley import CayleyBall, build_ball
 from .chains import normalized_diff_pow
@@ -147,27 +148,26 @@ def _supported_triples(engine: ChainEngine, ball: CayleyBall, sample_count: int,
     is then evaluated at the identity by left-invariance: (a|a')_b is
     (|u| + |u'| - d(a, a'))/2, and f(b, a) = b . f(e, u) is a translate, whose
     normalized differences are those of f(e, u). Each chain is given as
-    ``ChainEngine._f_point_basepoint`` gives it, a word for a point mass.
-    Triples that an explicit ball cannot support are skipped one by one, by
-    the margin test of ``f_chain`` and the products of ``gromov_product``;
-    their values are undefined rather than zero.
+    ``ChainEngine.f_at_offset`` gives it, a word for a point mass. Triples
+    that an explicit ball cannot support are skipped one by one, by the
+    margin test of ``f_at_offset``, which ``f_chain`` also runs, and the
+    products of ``gromov_product``; their values are undefined rather than
+    zero.
     """
     spec = engine.spec
-    mul, inv, delta = spec._mul, spec._inv_word, spec.delta
-    chain_at = engine._f_point_basepoint
+    mul, inv = spec._mul, spec._inv_word
+    chain_at = engine.f_at_offset
     out = []
     for b, a, a2 in decay_triples(ball, sample_count, seed):
         try:
             b_inv = inv(b)
             u = mul(b_inv, a)
-            engine._require_margin(b, len(u) + delta)
-            f1 = chain_at(u)
+            f1 = chain_at(b, u)
             if a2 == a:  # a third of the triples; a^-1 a = e
                 out.append((float(len(u)), f1, f1))
                 continue
             u2 = mul(b_inv, a2)
-            engine._require_margin(b, len(u2) + delta)
-            f2 = chain_at(u2)
+            f2 = chain_at(b, u2)
             out.append(((len(u) + len(u2) - len(mul(inv(a), a2))) / 2, f1, f2))
         except (ExactnessError, OutOfWindowError):
             continue
@@ -180,11 +180,6 @@ def fit_f_decay(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: 
     rho_of_p, fits = rho_fitter(engine, ball, sample_count, seed)
     rho_of_p(1.0)
     return fits[1.0]
-
-
-# the signature of two unit point masses, at one point (True) or at two, as
-# rho_fitter reads it off their float chains
-_POINT_PAIRS = {True: ((1.0,), (1.0,), (1.0,), ()), False: ((1.0,), (1.0,), (None,), (1.0,))}
 
 
 def _float_chain(f) -> dict:
@@ -212,16 +207,13 @@ def rho_fitter(engine: ChainEngine, ball: CayleyBall, sample_count: int, seed: i
     chains: list[tuple[dict, dict]] = []
     keyed: list[tuple[float, int]] = []
     for x, f1, f2 in _supported_triples(engine, ball, sample_count, seed):
-        if isinstance(f1, dict) or isinstance(f2, dict):
-            g1, g2 = _float_chain(f1), _float_chain(f2)
-            sig = (tuple(g1.values()), tuple(g2.values()), tuple(g2.get(w) for w in g1),
-                   tuple(c for w, c in g2.items() if w not in g1))
-        else:
-            sig = _POINT_PAIRS[f1 == f2]
+        # normalized_diff_pow reads coefficients through float(): convert once, not per p
+        g1, g2 = _float_chain(f1), _float_chain(f2)
+        sig = (tuple(g1.values()), tuple(g2.values()), tuple(g2.get(w) for w in g1),
+               tuple(c for w, c in g2.items() if w not in g1))
         i = pairs.setdefault(sig, len(chains))
         if i == len(chains):
-            # normalized_diff_pow reads coefficients through float(): convert once, not per p
-            chains.append((_float_chain(f1), _float_chain(f2)))
+            chains.append((g1, g2))
         keyed.append((x, i))
     slot: dict[tuple[float, int], int] = {}  # distinct key -> its first position
     order = [slot.setdefault(k, len(slot)) for k in keyed]
@@ -283,19 +275,35 @@ def select_p(upsilon: float, rho_of_p) -> PSelection:
     )
 
 
+class PFit(NamedTuple):
+    """What ``fit_p`` decides: p, the decay fit at p, upsilon, the selection
+    (None at a given p), and the fitter it used, whose ``fits`` hold every
+    p it was asked for; ``rho_of_p`` fits further p on the same triples."""
+
+    p: float
+    fit: DecayFit
+    upsilon: float
+    selection: PSelection | None
+    rho_of_p: Callable[[float], float]
+    fits: dict[float, DecayFit]
+
+
 def fit_p(engine: ChainEngine, ball: CayleyBall, samples: int, seed: int,
-          p: float | str = "auto") -> tuple[float, DecayFit, float, PSelection | None]:
-    """The rule for p on every command: (p, the decay fit at p, upsilon, the
-    selection or None at a given p), fitted on ``ball`` from max(samples,
-    MIN_FIT_SAMPLES) triples drawn with ``seed``. Calls ``rho_fitter`` and
-    ``select_p`` through the module globals, where tools may wrap them."""
-    ups = estimate_upsilon(ball)
+          p: float | str = "auto") -> PFit:
+    """The rule for p on every command, fitted on ``ball`` from max(samples,
+    MIN_FIT_SAMPLES) triples drawn with ``seed``: selected at p = "auto",
+    otherwise fitted at the given p. Calls ``rho_fitter`` and ``select_p``
+    through the module globals, where tools may wrap them. The first fit is
+    made before upsilon, so a fit that nothing determines raises
+    UnderdeterminedFitError even where upsilon is undetermined too (a ball
+    file of radius 0)."""
     rho_of_p, fits = rho_fitter(engine, ball, max(samples, MIN_FIT_SAMPLES), seed)
+    rho_of_p(_P_GRID[0] if p == "auto" else p)
+    ups = estimate_upsilon(ball)
     if p == "auto":
         sel = select_p(ups, rho_of_p)
-        return sel.p, fits[sel.p], ups, sel
-    rho_of_p(p)
-    return p, fits[p], ups, None
+        return PFit(sel.p, fits[sel.p], ups, sel, rho_of_p, fits)
+    return PFit(p, fits[p], ups, None, rho_of_p, fits)
 
 
 def tail_bound(C: float, rho: float, p: float, upsilon: float, R: int, d: int) -> float:

@@ -102,7 +102,7 @@ def _norm_setup(cfg: RunConfig, engine: ChainEngine):
     if spec.exact_tree and cfg.p != "auto":
         return cfg.p, None, None, None
     ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
-    p, fit, ups, _ = analysis.fit_p(engine, ball, cfg.samples, cfg.seed, cfg.p)
+    p, fit, ups, *_ = analysis.fit_p(engine, ball, cfg.samples, cfg.seed, cfg.p)
     return p, fit, ups, None if spec.exact_tree else ball
 
 
@@ -181,7 +181,7 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
 def cmd_select_p(cfg: RunConfig) -> int:
     spec = cfg.make_spec()
     ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
-    *_, sel = analysis.fit_p(ChainEngine(spec), ball, cfg.samples, cfg.seed)
+    sel = analysis.fit_p(ChainEngine(spec), ball, cfg.samples, cfg.seed).selection
     _emit_json(sel.to_json(), cfg.output)
     return 0
 

@@ -103,9 +103,14 @@ class ChainEngine:
 
     def f_chain(self, a: Word, b: Word) -> Chain:
         """The convex-combination chain f(a, b), exact rational coefficients."""
-        x = self.spec.offset(a, b)
+        return translate(self.spec, a, as_chain(self.f_at_offset(a, self.spec.offset(a, b))))
+
+    def f_at_offset(self, a: Word, x: Word) -> Word | Chain:
+        """f(a, b) before its translation by a: f(e, x) for the offset
+        x = a^-1 b, a word for a point mass. Raises ExactnessError where
+        ``f_chain(a, b)`` would, because its reach from a exceeds the spec."""
         self._require_margin(a, len(x) + self.spec.delta)
-        return translate(self.spec, a, as_chain(self._f_point_basepoint(x)))
+        return self._f_point_basepoint(x)
 
     def _f_point_basepoint(self, x: Word) -> Word | Chain:
         """f(e, x) as its support point when it is a point mass, otherwise

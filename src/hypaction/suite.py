@@ -170,19 +170,16 @@ def run_suite(
     pairs = (_sample(rng, words, 2) for _ in range(max(10, samples // 10)))
     checks.append(_sampled_check("h-normalization", pairs, normalization_witness))
 
-    # 7. decay fits and exponent selection by the rule of ``analysis.fit_p``,
+    # 7. decay fits and exponent selection by the rule every command uses,
     # lambda as the same fitter's fit at p = 1; each fit must equal the
     # envelope refitted from its full sample list. Inconclusive with no
     # samples or no fit determined
     selection, fit_passed, fit_details = None, False, {"evaluated": 0}
     if samples > 0:
         try:
-            rho_of_p, fits = analysis.rho_fitter(
-                engine, ball, max(samples, analysis.MIN_FIT_SAMPLES), seed)
+            _, p_fit, ups, selection, rho_of_p, fits = analysis.fit_p(engine, ball, samples, seed)
             rho_of_p(1.0)
-            ups = analysis.estimate_upsilon(ball)
-            selection = analysis.select_p(ups, rho_of_p)
-            f_fit, p_fit = fits[1.0], fits[selection.p]
+            f_fit = fits[1.0]
             refit_equal = all(analysis.fit_envelope(fit.samples) == fit for fit in (f_fit, p_fit))
             fit_details = {
                 "lambda": f_fit.base,

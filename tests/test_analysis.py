@@ -285,11 +285,11 @@ def test_fit_p_selects_from_at_least_200_triples(z23, z23_ball6):
     rho_of_p, fits = H.rho_fitter(H.ChainEngine(z23), z23_ball6, 200, seed=3)
     sel = H.select_p(ups, rho_of_p)
     # 50 samples asked, 200 triples drawn: the fit is the one made from 200
-    p, fit, upsilon, selection = fit_p(H.ChainEngine(z23), z23_ball6, 50, 3)
+    p, fit, upsilon, selection, *_ = fit_p(H.ChainEngine(z23), z23_ball6, 50, 3)
     assert (p, upsilon, selection.to_json()) == (sel.p, ups, sel.to_json())
     assert fit.n_samples == 200 and fit.samples == fits[sel.p].samples
     # at a given p nothing is selected and the fit is made at that p
-    p, fit, upsilon, selection = fit_p(H.ChainEngine(z23), z23_ball6, 300, 3, p=4.0)
+    p, fit, upsilon, selection, *_ = fit_p(H.ChainEngine(z23), z23_ball6, 300, 3, p=4.0)
     rho_of_p, fits = H.rho_fitter(H.ChainEngine(z23), z23_ball6, 300, seed=3)
     rho_of_p(4.0)
     assert (p, upsilon, selection) == (4.0, ups, None)

@@ -289,8 +289,12 @@ def test_verify_lists_a_fit_nothing_determines_as_inconclusive(tmp_path):
     # line2 ball file the margins leave 4 supported triples, all with one product
     ball_path = tmp_path / "line2r1.json"
     ball_path.write_text(json.dumps(line2_ball_json(1)))
+    # on a radius-0 ball file upsilon is undetermined too; the fit is reported
+    ball0_path = tmp_path / "line2r0.json"
+    ball0_path.write_text(json.dumps(line2_ball_json(0)))
     for group, radius, samples, supported in (("free:2", "0", "50", 200),
-                                              (f"ball:{ball_path}", "1", "300", 4)):
+                                              (f"ball:{ball_path}", "1", "300", 4),
+                                              (f"ball:{ball0_path}", "0", "50", 0)):
         code, text = run_cli(["verify", "--group", group, "--radius", radius,
                               "--samples", samples], tmp_path)
         assert code == 3
