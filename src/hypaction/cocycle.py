@@ -143,12 +143,11 @@ class Cocycle:
             if not self.spec.exact_tree:
                 raise ExactnessError("exact mode needs a tree family with delta = 1")
             return self._exact_tree_norm(g, audit_samples=audit_samples, seed=seed)
-        if mode != "window":
-            raise ValueError(f"unknown mode {mode!r}")
-        if window_ball is None:
-            raise ValueError("windowed mode needs a materialized ball")
-        if fit is None or upsilon is None:
-            raise ValueError("windowed mode needs a decay fit and a growth constant")
+        if mode != "window" or window_ball is None or fit is None or upsilon is None:
+            raise ValueError(
+                f"mode {mode!r}: the modes are 'auto', 'exact' and 'window', and a "
+                "window needs its ball, a decay fit and a growth constant"
+            )
         return self._windowed_norm(g, window_ball, fit, upsilon)
 
     def _windowed_norm(self, g, ball, fit, upsilon) -> CocycleResult:
@@ -227,28 +226,23 @@ class Cocycle:
         """Recompute random window vertices through the generic chain path."""
         spec = self.spec
         ten = self.engine.ten_delta
-        n_gens = len(spec.generators)
+        letters = range(len(spec.generators))
         inv = spec._inv
         rng = random.Random(seed)
         k = len(g)
         for _ in range(samples):
             i = rng.randrange(k + 1)
-            banned = set()
-            if i > 0:
-                banned.add(inv[g[i - 1]])
-            if i < k:
-                banned.add(g[i])
+            # the first step leaves the axis at g[:i] (-1 past its ends), each
+            # later one does not backtrack
+            banned = (inv[g[i - 1]] if i else -1, g[i] if i < k else -1)
             depth = rng.randrange(ten + 1)
             suffix: list[int] = []
-            for step in range(depth):
-                if step == 0:
-                    options = [x for x in range(n_gens) if x not in banned]
-                else:
-                    last_inv = inv[suffix[-1]]
-                    options = [x for x in range(n_gens) if x != last_inv]
+            for _ in range(depth):
+                options = [x for x in letters if x not in banned]
                 if not options:
                     break
                 suffix.append(rng.choice(options))
+                banned = (inv[suffix[-1]],)
             gamma = spec._mul(g[:i], tuple(suffix))
             expected = 2.0 if len(suffix) <= ten - 1 else 0.0
             got = self.diff_norm_pow(g, gamma)
@@ -263,15 +257,13 @@ class Cocycle:
     def disjoint_support_check(self, g: Word, gamma: Word) -> bool:
         """Whether supp h(gamma, g) and supp h(gamma, e) are disjoint.
 
-        Defined for gamma on the oriented geodesic q[g, e] with both
-        d(gamma, e) and d(gamma, g) at least 10*delta; under that
-        precondition a False return is a bug witness, not a valid outcome.
+        Defined for gamma in ``_admissible(g)``; under that precondition a
+        False return is a bug witness, not a valid outcome.
         """
-        ten = self.engine.ten_delta
-        if gamma not in self.engine.q.q_path(g, ()):
-            raise ValueError("gamma must lie on the geodesic q[g, e]")
-        if len(gamma) < ten or len(self.spec.offset(gamma, g)) < ten:
-            raise ValueError("gamma must be at least 10*delta from both endpoints")
+        if gamma not in self._admissible(g):
+            raise ValueError(
+                "gamma must lie on the geodesic q[g, e], at least 10*delta from both endpoints"
+            )
         return self._disjoint_supports(g, gamma)
 
     def _disjoint_supports(self, g: Word, gamma: Word) -> bool:
@@ -279,19 +271,21 @@ class Cocycle:
         f2 = self.engine.f_chain(gamma, ())
         return not (f1.keys() & f2.keys())
 
+    def _admissible(self, g: Word) -> tuple[Word, ...]:
+        """The vertices of the geodesic q[g, e] at least 10*delta from both
+        endpoints: its vertex at position i is i from g and d(g, e) - i from
+        e, so they are the positions 10*delta .. d(g, e) - 10*delta."""
+        ten = self.engine.ten_delta
+        path = self.engine.q.q_path(g, ())
+        return path[ten:len(path) - ten]
+
     def properness_count(self, g: Word) -> int:
         """Number of admissible geodesic vertices with disjoint supports.
 
         Each one contributes a summand >= 1 to ||pi(g) eta - eta||_p^p, so
-        the count is a properness certificate for g. The admissible
-        vertices are those at positions 10*delta .. d(g, e) - 10*delta of
-        the geodesic q[g, e].
+        the count is a properness certificate for g.
         """
-        ten = self.engine.ten_delta
-        # q[g, e] is geodesic, so its vertex at position i is i from g and
-        # d(g, e) - i from e: the slice below is exactly the admissible range
-        path = self.engine.q.q_path(g, ())
-        return sum(self._disjoint_supports(g, gamma) for gamma in path[ten:len(path) - ten])
+        return sum(self._disjoint_supports(g, gamma) for gamma in self._admissible(g))
 
     # -- the cocycle identity ----------------------------------------------------
 
@@ -312,9 +306,10 @@ class Cocycle:
         cancel symbolically. The sweep checks that the two translations
         agree, gamma w == g (m w), at every support point w, so each term
         cancels its partner. This tests the group law and the walks; the
-        literal audits, which re-derive the translated chains from scratch
-        at a fraction of the vertices, are the independent check of the
-        equivariance of f.
+        literal audits, which re-derive f(m, k), f(gamma, gk) and f(m, e)
+        from scratch at a fraction of the vertices and compare each with its
+        identity chain translated by its own base, are the independent check
+        of the equivariance of f.
 
         The translates gamma^-1 gk, gamma^-1 g and g^-1 gamma of every
         vertex of the window come from three ``CayleyBall.walk`` passes
@@ -345,7 +340,7 @@ class Cocycle:
                     break
             if audit_fraction and rng.random() < audit_fraction:
                 audited += 1
-                self._audit_identity(g, k, gk, gamma, m, as_chain(w1), as_chain(w2))
+                self._audit_identity(k, gk, gamma, m, as_chain(w1), as_chain(w2))
         return IdentityReport(
             vertices=len(window),
             residual_zero=not witnesses,
@@ -353,23 +348,15 @@ class Cocycle:
             audited=audited,
         )
 
-    def _audit_identity(self, g, k, gk, gamma, m, c1, c2) -> None:
-        """Re-derive both sides of one pointwise identity with the literal
-        recursion and compare against the cached translated chains."""
+    def _audit_identity(self, k, gk, gamma, m, c1, c2) -> None:
+        """Re-derive f(m, k), f(gamma, gk) and f(m, e) with the literal
+        recursion and compare each with its identity chain, c1 = f(e,
+        gamma^-1 gk) or c2 = f(e, gamma^-1 g), translated by its own base."""
         spec = self.spec
-        eng = self.engine
-        mul = spec._mul
-        t1 = {mul(g, mul(m, w)): c for w, c in c1.items()}
-        f_gk = {mul(gamma, w): c for w, c in c1.items()}
-        lit_k = translate(spec, g, eng.f_chain_literal(m, k))
-        lit_gk = eng.f_chain_literal(gamma, gk)
-        if lit_k != t1 or lit_gk != f_gk:
-            raise InvariantViolation(
-                f"literal recursion disagrees at {spec.label_word(gamma)}"
-            )
-        t2 = {mul(g, mul(m, w)): c for w, c in c2.items()}
-        lit_e = translate(spec, g, eng.f_chain_literal(m, ()))
-        if lit_e != t2:
+        lit = self.engine.f_chain_literal
+        if lit(m, k) != translate(spec, m, c1) or lit(gamma, gk) != translate(spec, gamma, c1):
+            raise InvariantViolation(f"literal recursion disagrees at {spec.label_word(gamma)}")
+        if lit(m, ()) != translate(spec, m, c2):
             raise InvariantViolation(
                 f"literal recursion disagrees at {spec.label_word(gamma)} (tail term)"
             )

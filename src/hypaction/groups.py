@@ -88,6 +88,8 @@ class GroupSpec:
         self._by_label = {g.label: g.index for g in self.generators}
         if len(self._by_label) != n:
             raise ValueError("generator labels must be distinct")
+        if any(label.split() != [label] for label in self._by_label):
+            raise ValueError("generator labels must be nonempty and hold no whitespace")
         if "1" in self._by_label:
             raise ValueError("the label '1' is reserved for the identity")
         self._labels_desc = sorted(self._by_label, key=len, reverse=True)
@@ -432,18 +434,27 @@ def load_ball_file(path, delta: int = 1) -> ExplicitBallSpec:
     return ball_from_json(data, delta=delta, name=f"ball:{path}")
 
 
+def _integer(value, what: str) -> int:
+    """An integer field of a ball file; int() would truncate 1.9 and read
+    true as 1."""
+    if type(value) is not int:
+        raise BallFileError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec:
     for key in ("generators", "basepoint", "radius", "vertices", "edges"):
         if not isinstance(data, dict) or key not in data:
             raise BallFileError(f"missing field {key!r}")
     try:
         gens = tuple(
-            Generator(i, str(g["label"]), int(g["inverse"]))
+            Generator(i, str(g["label"]), _integer(g["inverse"], "a generator inverse"))
             for i, g in enumerate(data["generators"])
         )
         vertex_ids = [str(v) for v in data["vertices"]]
-        radius = int(data["radius"])
-        raw_edges = [(str(s), int(g), str(d)) for s, g, d in data["edges"]]
+        radius = _integer(data["radius"], "the radius")
+        raw_edges = [(str(s), _integer(g, "an edge's generator index"), str(d))
+                     for s, g, d in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise BallFileError(f"malformed ball file: {exc}") from exc
     if len(set(vertex_ids)) != len(vertex_ids):
@@ -453,7 +464,7 @@ def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec
     if basepoint not in vid_of:
         raise BallFileBasepointError(f"basepoint {basepoint!r} is not a vertex")
     inv = [g.inverse for g in gens]
-    if any(not 0 <= i < len(gens) or inv[inv[i]] != i for i in range(len(gens))):
+    if any(not 0 <= j < len(gens) or inv[j] != i for i, j in enumerate(inv)):
         raise BallFileError("generator inverse table is not an involution")
     edge_map: dict[tuple[int, int], int] = {}
     for src, gi, dst in raw_edges:

@@ -328,6 +328,19 @@ def test_bad_group_descriptor():
     assert main(["ball", "--group", "braid:5"]) == 2
 
 
+def test_bad_ball_files_exit_cleanly(tmp_path, capsys):
+    # a bad inverse index is a ball-file error, an empty label a config
+    # error as a duplicate label is
+    for i, (index, key, value, code) in enumerate(((0, "inverse", 5, 1), (0, "label", "", 2),
+                                                   (1, "label", "p", 2))):
+        data = line2_ball_json(2)
+        data["generators"][index][key] = value
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["ball", "--group", f"ball:{path}", "--radius", "1"]) == code
+        assert ("error: " if code == 1 else "config error: ") in capsys.readouterr().err
+
+
 def test_runconfig_defaults():
     cfg = RunConfig.load(None, {})
     assert cfg.group == "free:2"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import hypaction as H
-from hypaction.errors import ExactnessError, PSelectionError
+from hypaction.errors import ExactnessError, InvariantViolation, PSelectionError
 from hypaction.suite import _random_deep_word
 
 from line2 import endpoint, line2_ball_json
@@ -198,6 +198,40 @@ def test_exact_norm_counts_free_rank_three():
 def test_exact_mode_requires_tree(z23_cocycle, z23):
     with pytest.raises(ExactnessError):
         z23_cocycle.norm(z23.parse("st"), mode="exact")
+
+
+def test_norm_refuses_an_unknown_mode_or_an_incomplete_window(f2, f2_cocycle, f2_ball6):
+    g = f2.parse("a")
+    for kwargs in ({"mode": "exactly"}, {"mode": "window"}, {"window_ball": f2_ball6},
+                   {"mode": "window", "window_ball": f2_ball6, "upsilon": 5.0}):
+        with pytest.raises(ValueError, match="a window needs its ball"):
+            f2_cocycle.norm(g, **kwargs)
+
+
+# (family, g, seed, the vertices the exact-window audit evaluates, in order),
+# recorded by wrapping diff_norm_pow: its walk leaves the axis at a random
+# vertex and never backtracks
+_AUDITED = [
+    ("free:1", "a^12", 1, ["aa", "aaaaaaaaaaaaa", "a", "aaaaaaaaaaaaaaaaaaa", "aaaaaa",
+                           "aaaaaaaaaaaa"]),
+    ("free:2", "abAB", 3, ["aabbABBaBa", "abAAABA", "abABAbbaaBaB", "abA", "Ba", "ab"]),
+    ("free:2", "a^3", 11, ["aaabABBaaBA", "aB", "aabb", "bABBBBaBa", "e", "ABa"]),
+    ("zm:2,2,2", "s t u s", 5, ["stususus", "tu", "stutst", "uts", "stuts", "stusustststst"]),
+    ("zm:2,2,2", "s t u s t u", 8, ["sustst", "suts", "stututsusu", "s", "stustsuts",
+                                    "stuststut"]),
+]
+
+
+@pytest.mark.parametrize("family, g_text, seed, audited", _AUDITED)
+def test_exact_window_audit_draws_pinned_vertices(family, g_text, seed, audited, monkeypatch):
+    spec = H.spec_from_descriptor(family)
+    coc = H.Cocycle(H.ChainEngine(spec), 2.0)
+    seen = []
+    diff = coc.diff_norm_pow
+    monkeypatch.setattr(coc, "diff_norm_pow",
+                        lambda g, gamma: seen.append(gamma) or diff(g, gamma))
+    coc.norm(spec.parse(g_text), audit_samples=len(audited), seed=seed)
+    assert [spec.label_word(x) for x in seen] == audited
 
 
 # ---------------------------------------------------------------- windowed
@@ -397,6 +431,39 @@ def test_identity_reports_a_non_associative_product(monkeypatch, family):
     monkeypatch.setattr(spec, "_mul", broken)
     rep = H.Cocycle(engine, 3.0).verify_identity(g, k, window)
     assert not rep.residual_zero and rep.witnesses == [gamma0]
+
+
+def _break_f(engine, monkeypatch):
+    """Make f(e, x) wrong wherever it is a point mass of 10 letters: it loses
+    its last letter. The group law is untouched."""
+    fpoint = engine._f_point_basepoint
+
+    def broken(x):
+        w = fpoint(x)
+        return w[:-1] if not isinstance(w, dict) and len(w) == 10 else w
+
+    monkeypatch.setattr(engine, "_f_point_basepoint", broken)
+
+
+def test_only_the_literal_audits_catch_a_wrong_f(monkeypatch):
+    spec = H.FreeGroupSpec(2)
+    engine = H.ChainEngine(spec)
+    _break_f(engine, monkeypatch)
+    coc = H.Cocycle(engine, 4.0)
+    g, k = spec.parse("abab"), spec.parse("aab")
+    window = H.build_ball(spec, 3)
+    # the sweep tests the group law, which still holds
+    assert coc.verify_identity(g, k, window, audit_fraction=0).residual_zero
+    with pytest.raises(InvariantViolation):
+        coc.verify_identity(g, k, window, audit_fraction=1.0)
+
+
+def test_the_exact_window_audit_catches_a_wrong_f(monkeypatch):
+    spec = H.FreeGroupSpec(2)
+    engine = H.ChainEngine(spec)
+    _break_f(engine, monkeypatch)
+    with pytest.raises(InvariantViolation):
+        H.Cocycle(engine, 4.0).norm(spec.parse("abAB"), audit_samples=40, seed=3)
 
 
 # ---------------------------------------------------------------- the linear action

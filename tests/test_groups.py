@@ -430,6 +430,40 @@ def test_ball_file_errors(f2):
         H.ball_from_json(badradius)
 
 
+def test_ball_file_inverse_past_the_last_generator():
+    data = H.ball_to_json(H.FreeGroupSpec(1), 2)
+    data["generators"][0]["inverse"] = 5
+    with pytest.raises(BallFileError, match="not an involution"):
+        H.ball_from_json(data)
+
+
+@pytest.mark.parametrize("field, value", [("inverse", 1.9), ("radius", 1.5),
+                                          ("edge", 0.7), ("inverse", True)])
+def test_ball_file_integer_fields_must_be_integers(field, value):
+    # int() would read each as a valid index or radius of this free:1 ball
+    data = H.ball_to_json(H.FreeGroupSpec(1), 1)
+    H.ball_from_json(data)
+    if field == "inverse":
+        data["generators"][0]["inverse"] = value
+    elif field == "radius":
+        data["radius"] = value
+    else:
+        edge = next(e for e in data["edges"] if e[1] == 0)
+        edge[1] = value
+    with pytest.raises(BallFileError, match="must be an integer"):
+        H.ball_from_json(data)
+
+
+@pytest.mark.parametrize("label", ["", "a b", " a"])
+def test_ball_file_labels_are_nonempty_without_whitespace(label):
+    # an empty label would match at every position of parse's input, and
+    # parse splits its input on whitespace
+    data = H.ball_to_json(H.FreeGroupSpec(2), 2)
+    data["generators"][0]["label"] = label
+    with pytest.raises(ValueError, match="nonempty and hold no whitespace"):
+        H.ball_from_json(data)
+
+
 def test_descriptor_parsing(tmp_path):
     assert H.spec_from_descriptor("free:2").name == "free:2"
     assert H.spec_from_descriptor("zm:2,3").orders == (2, 3)
