@@ -27,7 +27,10 @@ from .flowers import ChainEngine
 from .groups import GroupSpec, spec_from_descriptor
 from .suite import run_suite
 
-_BYTES_PER_VERTEX = 160
+# bytes per vertex of a ball B(e, R) with a windowed norm's eta over it, less
+# 8 R: tracemalloc reads 263 for the ball and 117 at eta's peak per vertex on
+# free:2 at R = 8, so 316 + 8 R = 380 there
+_BYTES_PER_VERTEX = 316
 # config fields that take an integer; bool is rejected too
 _INT_FIELDS = ("radius", "seed", "samples", "memory_budget_mb", "delta")
 
@@ -106,9 +109,8 @@ def _norm_setup(cfg: RunConfig, engine: ChainEngine):
     return p, fit, ups, None if spec.exact_tree else ball
 
 
-def _cocycle_payload(cfg: RunConfig, engine: ChainEngine, g, p, fit, ups, window) -> dict:
-    spec = engine.spec
-    coc = Cocycle(engine, p)
+def _cocycle_payload(cfg: RunConfig, coc: Cocycle, g, fit, ups, window) -> dict:
+    spec = coc.spec
     # without a window the norm is the exact tree evaluation, audited
     res = coc.norm(g, window_ball=window, fit=fit, upsilon=ups,
                    audit_samples=min(cfg.samples, 50), seed=cfg.seed)
@@ -189,7 +191,8 @@ def cmd_select_p(cfg: RunConfig) -> int:
 def cmd_cocycle(cfg: RunConfig, g_text: str) -> int:
     spec = cfg.make_spec()
     engine = ChainEngine(spec)
-    payload = _cocycle_payload(cfg, engine, spec.parse(g_text), *_norm_setup(cfg, engine))
+    p, fit, ups, window = _norm_setup(cfg, engine)
+    payload = _cocycle_payload(cfg, Cocycle(engine, p), spec.parse(g_text), fit, ups, window)
     _emit_json(payload, cfg.output)
     return 0 if payload["paper_bound_ok"] else 1
 
@@ -220,9 +223,11 @@ def cmd_report(cfg: RunConfig, g_texts: list[str]) -> int:
         "properness_count", "bound_20delta_ok", "bound_100delta_ok",
     ])
     ok = True
-    setup = _norm_setup(cfg, engine)
+    # one cocycle for every row: off trees the rows share its eta over the window
+    p, fit, ups, window = _norm_setup(cfg, engine)
+    coc = Cocycle(engine, p)
     for text in g_texts:
-        row = _cocycle_payload(cfg, engine, spec.parse(text), *setup)
+        row = _cocycle_payload(cfg, coc, spec.parse(text), fit, ups, window)
         ok = ok and row["paper_bound_ok"]
         writer.writerow([
             row["g"], row["d_g_e"], row["p"], row["lower"], row["tail_bound"],

@@ -73,6 +73,9 @@ class Cocycle:
         # id of a spread chain of the engine's memo -> (the chain, h = f / ||f||_p);
         # holding the chain keeps its id from being reused
         self._units: dict[int, tuple[Chain, dict[Word, float]]] = {}
+        # the window ball last evaluated and, per vertex gamma in handle order,
+        # f(e, gamma^-1): the eta half of every windowed norm over it
+        self._eta: tuple[CayleyBall, list[Word | Chain]] | None = None
 
     # -- pointwise values -----------------------------------------------------
 
@@ -88,16 +91,14 @@ class Cocycle:
         """||b(g)(gamma)||_p^p via left-invariance (no translations built)."""
         spec = self.spec
         ig = spec._inv_word(gamma)
-        return self._diff_pow(spec._mul(ig, g), ig)
-
-    def _diff_pow(self, u: Word, v: Word) -> float:
-        """||h_e(u) - h_e(v)||_p^p on identity-based chains; the memo grows
-        by the spread averaging nodes only, so millions of keys can be swept.
-        Equal to ``normalized_diff_pow`` on the two chains, bit for bit."""
-        if u == v:
-            return 0.0
         fpoint = self.engine._f_point_basepoint
-        f1, f2 = fpoint(u), fpoint(v)
+        return self._diff_pow(fpoint(spec._mul(ig, g)), fpoint(ig))
+
+    def _diff_pow(self, f1: Word | Chain, f2: Word | Chain) -> float:
+        """||h_e(u) - h_e(v)||_p^p from f1 = f(e, u) and f2 = f(e, v) as
+        ``ChainEngine._f_point_basepoint`` returns them: a word for a unit
+        point mass, otherwise the spread chain. Equal to
+        ``normalized_diff_pow`` on the two chains, bit for bit."""
         if isinstance(f1, dict) or isinstance(f2, dict):
             return diff_pow(self._unit(f1), self._unit(f2), self.p)
         # point masses of unit coefficient
@@ -159,15 +160,18 @@ class Cocycle:
             )
         # the window evaluations reach distance radius + d(e, g) + delta
         self.engine._require_margin(g, ball.radius + self.spec.delta)
-        diff = self._diff_pow
         lower = 0.0
         nonzero = 0
-        # ||b(g)(gamma)||_p^p = ||h_e(gamma^-1 g) - h_e(gamma^-1)||_p^p by left-invariance
-        for u1, u2 in zip(ball.walk(g), ball.walk(())):
-            val = diff(u1, u2)
-            if val:
-                nonzero += 1
-                lower += val
+        if g:
+            # ||b(g)(gamma)||_p^p = ||h_e(gamma^-1 g) - h_e(gamma^-1)||_p^p by
+            # left-invariance; b(e) = 0
+            diff = self._diff_pow
+            fpoint = self.engine._f_point_basepoint
+            for u, f2 in zip(ball.walk(g), self._eta_over(ball)):
+                val = diff(fpoint(u), f2)
+                if val:
+                    nonzero += 1
+                    lower += val
         tail = tail_bound(fit.constant, fit.base, p, upsilon, ball.radius, len(g))
         return CocycleResult(
             g=g,
@@ -179,6 +183,14 @@ class Cocycle:
             window_size=len(ball),
             nonzero_count=nonzero,
         )
+
+    def _eta_over(self, ball: CayleyBall) -> list[Word | Chain]:
+        """f(e, gamma^-1) for every vertex gamma of the window, in handle
+        order: one walk per window ball, kept until another ball is asked for."""
+        if self._eta is None or self._eta[0] is not ball:
+            fpoint = self.engine._f_point_basepoint
+            self._eta = (ball, [fpoint(u) for u in ball.walk(())])
+        return self._eta[1]
 
     def _exact_tree_norm(self, g, audit_samples=0, seed=0) -> CocycleResult:
         """Count the geodesic-neighborhood window of a tree family in closed form.

@@ -118,9 +118,12 @@ class ChainEngine:
 
         Follows the recursion while it only retracts: steps that are not
         multiples of 10*delta, and flowers of one member. A flower of two or
-        more members is averaged, unless the memo already holds its node.
+        more members is averaged, unless the memo already holds its node. On
+        exact trees every flower is {x}, so the descent ends at x[:10*delta].
         """
         ten = self.ten_delta
+        if self.spec.exact_tree:
+            return x[:ten]
         memo = self.cache.memo
         while True:
             d = len(x)

@@ -442,13 +442,20 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _label(value) -> str:
+    """A generator label of a ball file; str() would read null as "None"."""
+    if type(value) is not str:
+        raise BallFileError(f"a generator label must be a string, not {value!r}")
+    return value
+
+
 def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec:
     for key in ("generators", "basepoint", "radius", "vertices", "edges"):
         if not isinstance(data, dict) or key not in data:
             raise BallFileError(f"missing field {key!r}")
     try:
         gens = tuple(
-            Generator(i, str(g["label"]), _integer(g["inverse"], "a generator inverse"))
+            Generator(i, _label(g["label"]), _integer(g["inverse"], "a generator inverse"))
             for i, g in enumerate(data["generators"])
         )
         vertex_ids = [str(v) for v in data["vertices"]]

@@ -341,6 +341,16 @@ def test_bad_ball_files_exit_cleanly(tmp_path, capsys):
         assert ("error: " if code == 1 else "config error: ") in capsys.readouterr().err
 
 
+def test_ball_file_label_must_be_a_string(tmp_path, capsys):
+    for i, label in enumerate((None, 5)):
+        data = line2_ball_json(2)
+        data["generators"][0]["label"] = label
+        path = tmp_path / f"label{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["ball", "--group", f"ball:{path}", "--radius", "1"]) == 1
+        assert "error: a generator label must be a string" in capsys.readouterr().err
+
+
 def test_runconfig_defaults():
     cfg = RunConfig.load(None, {})
     assert cfg.group == "free:2"
@@ -369,6 +379,39 @@ def test_report_selects_p_once(tmp_path, monkeypatch):
     assert len(rows) == 3
     assert len(calls) == 1
     assert len({row[2] for row in rows}) == 1
+
+
+def test_report_off_trees_pins_its_csv(tmp_path):
+    # the windowed rows on zm:2,3, g = e included
+    code, text = run_cli(["report", "--group", "zm:2,3", "--radius", "12", "--samples", "200",
+                          "--g-words", "st,stst^2st,t,e"], tmp_path, "table.csv")
+    assert code == 0
+    assert text == (
+        "g_word,d_g_e,p,lower,tail_bound,properness_count,bound_20delta_ok,bound_100delta_ok\n"
+        "s t,2,7.7,436.0,2651880.9129801397,0,True,True\n"
+        "s t s t^2 s t,6,7.7,500.0,195174032905.06345,0,True,True\n"
+        "t,1,7.7,372.0,161004.1286389998,0,True,True\n"
+        "e,0,7.7,0.0,9775.072972516144,0,True,True\n"
+    )
+
+
+def test_report_walks_the_window_from_e_once(tmp_path, monkeypatch):
+    # the rows of one report share one cocycle, so eta is evaluated once:
+    # one walk from e, then one from each g
+    from hypaction.cayley import CayleyBall
+
+    starts = []
+    walk = CayleyBall.walk
+
+    def recording(self, start, right=False):
+        starts.append(start)
+        return walk(self, start, right)
+
+    monkeypatch.setattr(CayleyBall, "walk", recording)
+    code, text = run_cli(["report", "--group", "zm:2,3", "--radius", "6", "--samples", "100",
+                          "--g-words", "st,sts,tst,s"], tmp_path, "table.csv")
+    assert code == 0 and len(text.splitlines()) == 5
+    assert starts.count(()) == 1 and len(starts) == 5
 
 
 def test_verify_draws_the_decay_triples_once(tmp_path, monkeypatch):

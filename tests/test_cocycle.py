@@ -295,6 +295,94 @@ def test_windowed_refuses_bad_summability(f2, f2_engine, f2_ball6):
         coc.norm(f2.parse("a"), mode="window", window_ball=f2_ball6, fit=Flat(), upsilon=5.0)
 
 
+# ---------------------------------------------------------------- eta per window
+
+
+class _Fit:
+    # a decay fit whose tail the windowed norm accepts at p = 4, upsilon = 5
+    base = 0.5
+    constant = 1.0
+
+
+def _window_case(name):
+    """(spec, window ball, words g with g = e first) for the eta tests."""
+    if name == "line2":
+        # spread chains: the window's words reach the averaging depths 20 and 30
+        spec = H.ball_from_json(line2_ball_json(45), delta=1)
+        ball = H.build_ball(spec, 30)
+    elif name == "zm:2,3":
+        spec = H.FreeProductSpec((2, 3))
+        ball = H.build_ball(spec, 6)
+    else:
+        spec = H.FreeGroupSpec(2, delta=2)
+        ball = H.build_ball(spec, 4)
+    rng = random.Random(name)
+    return spec, ball, [()] + [_random_deep_word(spec, rng, n) for n in (1, 2, 5, 9, 12)]
+
+
+def _window_norm(coc, g, ball):
+    return coc.norm(g, mode="window", window_ball=ball, fit=_Fit, upsilon=5.0)
+
+
+_WINDOW_CASES = ["line2", "zm:2,3", "free:2-delta2"]
+
+
+@pytest.mark.parametrize("name", _WINDOW_CASES)
+def test_windowed_norms_on_one_cocycle_sum_the_differences(name):
+    spec, ball, words = _window_case(name)
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    for g in words + words[::-1]:
+        res = _window_norm(coc, g, ball)
+        values = [coc.diff_norm_pow(g, w) for w in ball.words]
+        assert res.lower == sum(values)
+        assert res.nonzero_count == sum(v != 0.0 for v in values)
+        assert (res.lower > 0) == bool(g)
+    if name == "line2":
+        assert any(isinstance(f, dict) for f in coc._eta[1])
+
+
+@pytest.mark.parametrize("name", ["line2", "zm:2,3"])
+def test_switching_window_balls_gives_each_its_own_values(name):
+    spec, ball, words = _window_case(name)
+    smaller = H.build_ball(spec, ball.radius - 2)
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    for window in (ball, smaller, ball, smaller):
+        for g in words[1:]:
+            res = _window_norm(coc, g, window)
+            fresh = _window_norm(H.Cocycle(H.ChainEngine(spec), 4.0), g, window)
+            assert res == fresh and res.window_size == len(window)
+        assert coc._eta[0] is window
+
+
+@pytest.mark.parametrize("name", _WINDOW_CASES)
+def test_windowed_norms_evaluate_eta_once_per_window(name):
+    # k norms over W evaluate f(e, .) (k + 1) |W| times, not 2 k |W|; calls
+    # the descent makes to itself are not counted
+    spec, ball, words = _window_case(name)
+    engine = H.ChainEngine(spec)
+    coc = H.Cocycle(engine, 4.0)
+    fpoint = engine._f_point_basepoint
+    calls = depth = 0
+
+    def counting(x):
+        nonlocal calls, depth
+        calls += depth == 0
+        depth += 1
+        try:
+            return fpoint(x)
+        finally:
+            depth -= 1
+
+    engine._f_point_basepoint = counting
+    nontrivial = words[1:]
+    for g in nontrivial:
+        _window_norm(coc, g, ball)
+    assert calls == (len(nontrivial) + 1) * len(ball)
+    _window_norm(coc, (), ball)  # b(e) = 0 evaluates nothing
+    _window_norm(coc, nontrivial[0], ball)
+    assert calls == (len(nontrivial) + 2) * len(ball)
+
+
 # ---------------------------------------------------------------- properness
 
 

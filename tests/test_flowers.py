@@ -201,6 +201,21 @@ def test_memo_holds_no_point_masses(f2, z23):
         assert engine.cache.memo == {}
 
 
+@pytest.mark.parametrize("family", ["free:2", "free:3", "zm:2,2,2"])
+def test_exact_tree_descent_is_one_slice(family):
+    # every flower of an exact tree is {x}, so f(e, x) is the point mass at
+    # x[:10 delta] and the descent builds no flower and stores nothing
+    spec = H.spec_from_descriptor(family)
+    engine = H.ChainEngine(spec)
+    rng = random.Random(family)
+    for length in range(61):
+        x = _random_deep_word(spec, rng, length)
+        got = engine._f_point_basepoint(x)
+        assert got == x[:10]
+        assert chains.as_chain(got) == engine.f_chain_literal((), x)
+    assert engine.cache.memo == {} and engine.cache.misses == 0
+
+
 # ---------------------------------------------------------------- delta = 2
 
 

@@ -464,6 +464,15 @@ def test_ball_file_labels_are_nonempty_without_whitespace(label):
         H.ball_from_json(data)
 
 
+@pytest.mark.parametrize("label", [None, 5, ["a"], True])
+def test_ball_file_labels_must_be_strings(label):
+    # str() would read null as the label "None" and 5 as "5"
+    data = H.ball_to_json(H.FreeGroupSpec(1), 1)
+    data["generators"][0]["label"] = label
+    with pytest.raises(BallFileError, match="label must be a string"):
+        H.ball_from_json(data)
+
+
 def test_descriptor_parsing(tmp_path):
     assert H.spec_from_descriptor("free:2").name == "free:2"
     assert H.spec_from_descriptor("zm:2,3").orders == (2, 3)

@@ -212,9 +212,10 @@ def test_diff_pow_normalizes_each_spread_chain_once():
         fpoint = engine._f_point_basepoint
         for n in (1, 13, -24, 26):
             for u1, u2 in zip(window.walk(by_end[n]), window.walk(())):
+                f1, f2 = fpoint(u1), fpoint(u2)
                 expected = chains.normalized_diff_pow(
-                    chains.as_chain(fpoint(u1)), chains.as_chain(fpoint(u2)), p)
-                assert coc._diff_pow(u1, u2) == expected
+                    chains.as_chain(f1), chains.as_chain(f2), p)
+                assert coc._diff_pow(f1, f2) == expected
         assert 0 < len(coc._units) <= len(engine.cache.memo)
 
 
