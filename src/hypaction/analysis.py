@@ -264,11 +264,9 @@ def select_p(upsilon: float, rho_of_p) -> PSelection:
         q = rho ** p * upsilon
         candidates.append({"p": p, "rho": rho, "rho_p_upsilon": q})
         if rho < 1.0 and q < _P_TARGET:
-            sel = PSelection(
+            return PSelection(
                 upsilon=upsilon, p=p, rho_used=rho, margin=0.5 - q, candidates=candidates
             )
-            assert sel.rho_used ** sel.p * sel.upsilon < 0.5
-            return sel
     raise PSelectionError(
         f"no exponent p in [{_P_GRID[0]}, {_P_GRID[-1]}] reaches rho^p * upsilon < {_P_TARGET}; "
         f"last candidates: {candidates[-3:]}"

@@ -151,7 +151,6 @@ class CertReport:
 
 def certify_delta(
     ball: CayleyBall,
-    delta: int,
     samples: int,
     seed: int,
     exhaustive_radius: int | None = None,
@@ -159,7 +158,7 @@ def certify_delta(
     """Check the fine-triangle condition on sampled (and small exhaustive) triples.
 
     For a triple (a, b, c) the points v = q[a,b](t) and w = q[a,c](t) with
-    t = 0 .. floor((b|c)_a) must satisfy d(v, w) <= delta. A triple counts
+    t = 0 .. floor((b|c)_a) must satisfy d(v, w) <= ball.spec.delta. A triple counts
     as evaluated only when (b|c)_a >= 1, so that some pair of points is
     compared. The report carries the maximal observed deviation and a
     maximizing witness triple.
@@ -214,12 +213,12 @@ def certify_delta(
             skipped += 1
 
     return CertReport(
-        delta=delta,
+        delta=spec.delta,
         samples=samples,
         evaluated=evaluated,
         skipped=skipped,
         max_deviation=max_dev,
         witness=witness,
-        passed=evaluated > 0 and max_dev <= delta,
+        passed=evaluated > 0 and max_dev <= spec.delta,
         exhaustive_radius=exhaustive_radius,
     )

@@ -27,10 +27,11 @@ from .flowers import ChainEngine
 from .groups import GroupSpec, spec_from_descriptor
 from .suite import run_suite
 
-# bytes per vertex of a ball B(e, R) with a windowed norm's eta over it, less
-# 8 R: tracemalloc reads 263 for the ball and 117 at eta's peak per vertex on
-# free:2 at R = 8, so 316 + 8 R = 380 there
-_BYTES_PER_VERTEX = 316
+# bytes per vertex of a ball B(e, R) with a windowed norm over it, less 24 R:
+# the ball's words, the walk from e that fills eta and the walk from g hold up
+# to R letters of 8 bytes each. tracemalloc's peak, less 24 R, is at most 405
+# on free:2 (delta 2), free:3 and zm:2,3 at every radius the budget admits
+_BYTES_PER_VERTEX = 416
 # config fields that take an integer; bool is rejected too
 _INT_FIELDS = ("radius", "seed", "samples", "memory_budget_mb", "delta")
 
@@ -80,8 +81,8 @@ class RunConfig:
     def make_spec(self) -> GroupSpec:
         return spec_from_descriptor(self.group, delta=self.delta)
 
-    def max_vertices(self, radius: int) -> int:
-        per_vertex = _BYTES_PER_VERTEX + 8 * radius
+    def max_vertices(self) -> int:
+        per_vertex = _BYTES_PER_VERTEX + 24 * self.radius
         return max(1000, self.memory_budget_mb * (1 << 20) // per_vertex)
 
 
@@ -104,7 +105,7 @@ def _norm_setup(cfg: RunConfig, engine: ChainEngine):
     spec = engine.spec
     if spec.exact_tree and cfg.p != "auto":
         return cfg.p, None, None, None
-    ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
+    ball = build_ball(spec, cfg.radius, cfg.max_vertices())
     p, fit, ups, *_ = analysis.fit_p(engine, ball, cfg.samples, cfg.seed, cfg.p)
     return p, fit, ups, None if spec.exact_tree else ball
 
@@ -134,7 +135,7 @@ def _cocycle_payload(cfg: RunConfig, coc: Cocycle, g, fit, ups, window) -> dict:
 
 def cmd_ball(cfg: RunConfig) -> int:
     spec = cfg.make_spec()
-    ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
+    ball = build_ball(spec, cfg.radius, cfg.max_vertices())
     _emit_json(
         {
             "group": spec.name,
@@ -151,8 +152,8 @@ def cmd_ball(cfg: RunConfig) -> int:
 
 def cmd_certify_delta(cfg: RunConfig, exhaustive_radius: int) -> int:
     spec = cfg.make_spec()
-    ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
-    report = certify_delta(ball, spec.delta, cfg.samples, cfg.seed, exhaustive_radius)
+    ball = build_ball(spec, cfg.radius, cfg.max_vertices())
+    report = certify_delta(ball, cfg.samples, cfg.seed, exhaustive_radius)
     _emit_json(report.to_json(), cfg.output)
     # exit 3, as verify does, when no triple was evaluated
     return 0 if report.passed else 1 if report.evaluated else 3
@@ -182,7 +183,7 @@ def cmd_chain(cfg: RunConfig, a_text: str, b_text: str, which: str) -> int:
 
 def cmd_select_p(cfg: RunConfig) -> int:
     spec = cfg.make_spec()
-    ball = build_ball(spec, cfg.radius, cfg.max_vertices(cfg.radius))
+    ball = build_ball(spec, cfg.radius, cfg.max_vertices())
     sel = analysis.fit_p(ChainEngine(spec), ball, cfg.samples, cfg.seed).selection
     _emit_json(sel.to_json(), cfg.output)
     return 0
@@ -206,7 +207,7 @@ def cmd_verify(cfg: RunConfig, exhaustive_radius: int) -> int:
         seed=cfg.seed,
         p=cfg.p,
         exhaustive_radius=exhaustive_radius,
-        max_vertices=cfg.max_vertices(cfg.radius),
+        max_vertices=cfg.max_vertices(),
     )
     _emit_json(report, cfg.output)
     failed = any(not (c["passed"] or c["inconclusive"]) for c in report["checks"])

@@ -279,9 +279,13 @@ class Cocycle:
         return self._disjoint_supports(g, gamma)
 
     def _disjoint_supports(self, g: Word, gamma: Word) -> bool:
-        f1 = self.engine.f_chain(gamma, g)
-        f2 = self.engine.f_chain(gamma, ())
-        return not (f1.keys() & f2.keys())
+        # at the identity, as translation by gamma is a bijection; f_at_offset
+        # keeps f_chain's margin rule, so the same errors raise
+        spec = self.spec
+        ig = spec._inv_word(gamma)
+        f1 = self.engine.f_at_offset(gamma, spec._mul(ig, g))
+        f2 = self.engine.f_at_offset(gamma, ig)
+        return not (as_chain(f1).keys() & as_chain(f2).keys())
 
     def _admissible(self, g: Word) -> tuple[Word, ...]:
         """The vertices of the geodesic q[g, e] at least 10*delta from both

@@ -67,7 +67,7 @@ def test_gromov_product_bounds(z23, z23_ball6):
 
 
 def test_certify_delta_free(f2, f2_ball6):
-    report = H.certify_delta(f2_ball6, 1, 500, seed=9, exhaustive_radius=2)
+    report = H.certify_delta(f2_ball6, 500, seed=9, exhaustive_radius=2)
     assert report.max_deviation == 0
     assert report.passed
     assert report.skipped == 0
@@ -77,7 +77,7 @@ def test_certify_delta_free(f2, f2_ball6):
 
 def test_certify_delta_degenerate(f2, f2_ball6):
     # (e, e, e) is the only triple and compares no pair of points
-    report = H.certify_delta(f2_ball6, 1, 0, seed=0, exhaustive_radius=0)
+    report = H.certify_delta(f2_ball6, 0, seed=0, exhaustive_radius=0)
     assert report.evaluated == 0 and report.max_deviation == 0
     assert not report.passed
 
@@ -92,13 +92,13 @@ def test_certify_delta_counts_evaluated_triples(f2, f2_ball6):
     triples = list(itertools.product(small, repeat=3)) + sampled
     positive = sum(H.gromov_product(f2, *t) >= 1 for t in triples)
     assert 0 < positive < len(triples)
-    report = H.certify_delta(f2_ball6, 1, 7, seed=1, exhaustive_radius=1)
+    report = H.certify_delta(f2_ball6, 7, seed=1, exhaustive_radius=1)
     assert (report.evaluated, report.skipped) == (positive, 0)
     assert report.to_json()["evaluated"] == positive
 
 
 def test_certify_delta_that_evaluated_nothing_does_not_pass(f2_ball6):
-    report = H.certify_delta(f2_ball6, 1, 0, seed=0, exhaustive_radius=None)
+    report = H.certify_delta(f2_ball6, 0, seed=0, exhaustive_radius=None)
     assert report.evaluated == 0 and report.max_deviation == 0
     assert not report.passed and report.to_json()["pass"] is False
     suite = run_suite(H.FreeGroupSpec(2), radius=2, samples=0, exhaustive_radius=None)
@@ -109,11 +109,11 @@ def test_certify_delta_that_evaluated_nothing_does_not_pass(f2_ball6):
 
 def test_certify_delta_rejects_a_negative_exhaustive_radius(f2_ball6):
     with pytest.raises(ValueError):
-        H.certify_delta(f2_ball6, 1, 0, seed=0, exhaustive_radius=-1)
+        H.certify_delta(f2_ball6, 0, seed=0, exhaustive_radius=-1)
 
 
 def test_certify_delta_product(z23, z23_ball8):
-    report = H.certify_delta(z23_ball8, 1, 1000, seed=13, exhaustive_radius=4)
+    report = H.certify_delta(z23_ball8, 1000, seed=13, exhaustive_radius=4)
     assert report.max_deviation <= 1
     assert report.passed
 
@@ -153,7 +153,7 @@ def test_exhaustive_sweep_reaches_three_times_its_radius(r):
             return vid
 
         spec._walk = tracked
-        report = H.certify_delta(H.build_ball(spec, r), 1, 0, seed=0, exhaustive_radius=r)
+        report = H.certify_delta(H.build_ball(spec, r), 0, seed=0, exhaustive_radius=r)
         assert report.exhaustive_radius == swept
         assert deepest[0] == 3 * swept
 

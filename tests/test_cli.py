@@ -355,7 +355,30 @@ def test_runconfig_defaults():
     cfg = RunConfig.load(None, {})
     assert cfg.group == "free:2"
     assert cfg.p == "auto"
-    assert cfg.max_vertices(6) > 1000
+    assert cfg.max_vertices() > 1000
+
+
+def test_memory_charge_covers_a_windowed_norm():
+    # the budget charges each vertex for the ball, eta over it and a windowed
+    # norm's walk from g; zm:2,3 costs the most per vertex of the families
+    # the charge was fitted on, so a ball as large as the budget admits fits
+    import tracemalloc
+
+    import hypaction as H
+
+    cfg = RunConfig.load(None, {"group": "zm:2,3", "radius": 20})
+    spec = cfg.make_spec()
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    fit = H.DecayFit(constant=1.0, base=0.01, n_samples=0, n_positive=0)
+    tracemalloc.start()
+    try:
+        ball = H.build_ball(spec, cfg.radius)
+        coc.norm(spec.parse("s"), window_ball=ball, fit=fit, upsilon=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 7162
+    assert peak * cfg.max_vertices() <= cfg.memory_budget_mb * (1 << 20) * len(ball)
 
 
 def test_report_selects_p_once(tmp_path, monkeypatch):

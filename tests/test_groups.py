@@ -3,10 +3,16 @@
 The free-product family is checked against an independent matrix oracle:
 Z/2 * Z/3 is the projective special linear group over the integers, so the
 word metric can be recomputed by breadth-first search over 2x2 matrices.
+``_law_oracle`` extends it to free groups and line2, so that products and
+inverses are checked on every family by arithmetic that shares nothing with
+the spec's own product.
 """
 
+import functools
 import itertools
 import json
+import operator
+import random
 
 import pytest
 
@@ -20,7 +26,7 @@ from hypaction.errors import (
     SpecMismatchError,
 )
 
-from line2 import line2_ball_json
+from line2 import STEPS, line2_ball_json
 
 
 # ---------------------------------------------------------------- basics
@@ -299,6 +305,73 @@ def test_product_multiplication_matches_matrices(z23, z23_ball6):
         u = words[rng.randrange(len(words))]
         v = words[rng.randrange(len(words))]
         assert rep(z23.multiply(u, v)) == _pmul(rep(u), rep(v))
+
+
+def _law_oracle(spec):
+    """(image of a word, product of images, identity image): a faithful
+    image of the group read off a word's letters alone, sharing nothing with
+    ``_mul``.
+
+    free:2 goes to Sanov's matrices a -> [[1,2],[0,1]], b -> [[1,0],[2,1]],
+    which generate a free subgroup of SL(2, Z) without -I, so up to sign too;
+    free:n goes into free:2 by x_i -> b^i a b^-i, a free basis of a subgroup.
+    zm:2,3 is PSL(2, Z) (``_psl2_generators``), and line2 is Z by endpoints.
+    """
+    if isinstance(spec, H.FreeGroupSpec):
+        ident = _pnorm((1, 0, 0, 1))
+        a, a_inv, b, b_inv = ((1, 2, 0, 1), (1, -2, 0, 1), (1, 0, 2, 1), (1, 0, -2, 1))
+        gens = []
+        for i in range(spec.rank):
+            conj = functools.reduce(_pmul, [b] * i, ident)
+            conj_inv = functools.reduce(_pmul, [b_inv] * i, ident)
+            gens += [_pmul(_pmul(conj, x), conj_inv) for x in (a, a_inv)]
+        mul = _pmul
+    elif isinstance(spec, H.FreeProductSpec):
+        ident, gens, mul = _pnorm((1, 0, 0, 1)), _psl2_generators(spec), _pmul
+    else:
+        ident, gens, mul = 0, STEPS, operator.add
+    return (lambda w: functools.reduce(mul, (gens[x] for x in w), ident)), mul, ident
+
+
+# family -> (spec, the ball whose normal forms are compared, its size)
+_ORACLE_BALLS = {
+    "free:2": (H.FreeGroupSpec(2), 9, 39_365),
+    "free:3": (H.FreeGroupSpec(3), 5, 4_687),
+    "zm:2,3": (H.FreeProductSpec((2, 3)), 20, 7_162),
+    "line2": (H.ball_from_json(line2_ball_json(30)), 30, 121),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_ORACLE_BALLS))
+def oracle_ball(request):
+    spec, radius, size = _ORACLE_BALLS[request.param]
+    ball = H.build_ball(spec, radius)
+    assert len(ball) == size
+    image, mul, ident = _law_oracle(spec)
+    images = {(): ident}
+    for w in ball.words[1:]:  # breadth-first, and normal forms are prefix-closed
+        images[w] = mul(images[w[:-1]], image(w[-1:]))
+    return spec, ball, images
+
+
+def test_law_oracle_separates_the_normal_forms_of_a_ball(oracle_ball):
+    spec, ball, images = oracle_ball
+    assert len(set(images.values())) == len(ball)
+
+
+def test_mul_and_inverse_agree_with_the_law_oracle(oracle_ball):
+    spec, ball, images = oracle_ball
+    image, mul, ident = _law_oracle(spec)
+    # on a ball file a product stays represented within the ball's radius
+    words = [w for w, d in zip(ball.words, ball.dist) if 2 * d <= spec.max_word_length]
+    rng = random.Random(21)
+    for _ in range(20_000):
+        u, v = words[rng.randrange(len(words))], words[rng.randrange(len(words))]
+        uv, u_inv = spec._mul(u, v), spec._inv_word(u)
+        spec.validate_word(uv)
+        spec.validate_word(u_inv)
+        assert image(uv) == mul(images[u], images[v]), (u, v)
+        assert mul(image(u_inv), images[u]) == ident, u
 
 
 # ---------------------------------------------------------------- growth series

@@ -45,7 +45,7 @@ def test_metric_is_ceil_half(line2, by_endpoint):
 
 def test_delta_one_certifies(line2):
     ball = H.build_ball(line2, 8)
-    report = H.certify_delta(ball, 1, 800, seed=3, exhaustive_radius=4)
+    report = H.certify_delta(ball, 800, seed=3, exhaustive_radius=4)
     assert report.passed
     assert report.max_deviation == 1  # genuinely not 0-fine
 
