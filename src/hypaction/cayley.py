@@ -131,8 +131,9 @@ class CertReport:
     passed: bool = False
     exhaustive_radius: int | None = None
     note: str = (
-        "internal points are taken on the bicombing geodesics; arbitrary "
-        "geodesics are covered only by the exhaustive small-radius sweep"
+        "internal points are taken on the bicombing geodesics only, for the "
+        "sampled triples and for every triple of the exhaustive sweep over "
+        "B(e, r)^3; no other geodesic is checked"
     )
 
     def to_json(self) -> dict:

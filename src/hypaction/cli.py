@@ -27,11 +27,15 @@ from .flowers import ChainEngine
 from .groups import GroupSpec, spec_from_descriptor
 from .suite import run_suite
 
-# bytes per vertex of a ball B(e, R) with a windowed norm over it, less 24 R:
-# the ball's words, the walk from e that fills eta and the walk from g hold up
-# to R letters of 8 bytes each. tracemalloc's peak, less 24 R, is at most 405
-# on free:2 (delta 2), free:3 and zm:2,3 at every radius the budget admits
-_BYTES_PER_VERTEX = 416
+# bytes per vertex of a ball B(e, R) with a windowed norm over it, less 8
+# bytes per letter: the ball's words and the walk from e that fills eta hold
+# up to R letters each, the walk from g up to R + |g|. At |g| = 1
+# tracemalloc's peak, less 24 R, is at most 405 on free:2 (delta 2), free:3
+# and zm:2,3 at every radius the budget admits; up to |g| = 80 the charge
+# exceeds the peak of a fresh interpreter on every such ball of 4,000
+# vertices and more, and smaller ones hold at most 0.3 MB more
+_BYTES_PER_VERTEX = 408
+_BYTES_PER_LETTER = 8
 # config fields that take an integer; bool is rejected too
 _INT_FIELDS = ("radius", "seed", "samples", "memory_budget_mb", "delta")
 
@@ -81,8 +85,10 @@ class RunConfig:
     def make_spec(self) -> GroupSpec:
         return spec_from_descriptor(self.group, delta=self.delta)
 
-    def max_vertices(self) -> int:
-        per_vertex = _BYTES_PER_VERTEX + 24 * self.radius
+    def max_vertices(self, g_length: int = 1) -> int:
+        """The most vertices the budget admits for a ball with a windowed norm
+        over it, at g_length letters of the longest g."""
+        per_vertex = _BYTES_PER_VERTEX + _BYTES_PER_LETTER * (3 * self.radius + g_length)
         return max(1000, self.memory_budget_mb * (1 << 20) // per_vertex)
 
 
@@ -97,15 +103,16 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _norm_setup(cfg: RunConfig, engine: ChainEngine):
+def _norm_setup(cfg: RunConfig, engine: ChainEngine, g_length: int = 1):
     """(p, fit, upsilon, window) for every cocycle norm of one command.
 
     B(e, radius) is the ball the decay is fitted on and, off exact trees, the
-    window; exact trees are evaluated with no window, and at a given p fit nothing."""
+    window, charged for the walk from a g of g_length letters; exact trees
+    are evaluated with no window, and at a given p fit nothing."""
     spec = engine.spec
     if spec.exact_tree and cfg.p != "auto":
         return cfg.p, None, None, None
-    ball = build_ball(spec, cfg.radius, cfg.max_vertices())
+    ball = build_ball(spec, cfg.radius, cfg.max_vertices(1 if spec.exact_tree else g_length))
     p, fit, ups, *_ = analysis.fit_p(engine, ball, cfg.samples, cfg.seed, cfg.p)
     return p, fit, ups, None if spec.exact_tree else ball
 
@@ -192,8 +199,9 @@ def cmd_select_p(cfg: RunConfig) -> int:
 def cmd_cocycle(cfg: RunConfig, g_text: str) -> int:
     spec = cfg.make_spec()
     engine = ChainEngine(spec)
-    p, fit, ups, window = _norm_setup(cfg, engine)
-    payload = _cocycle_payload(cfg, Cocycle(engine, p), spec.parse(g_text), fit, ups, window)
+    g = spec.parse(g_text)
+    p, fit, ups, window = _norm_setup(cfg, engine, len(g))
+    payload = _cocycle_payload(cfg, Cocycle(engine, p), g, fit, ups, window)
     _emit_json(payload, cfg.output)
     return 0 if payload["paper_bound_ok"] else 1
 
@@ -225,10 +233,11 @@ def cmd_report(cfg: RunConfig, g_texts: list[str]) -> int:
     ])
     ok = True
     # one cocycle for every row: off trees the rows share its eta over the window
-    p, fit, ups, window = _norm_setup(cfg, engine)
+    gs = [spec.parse(text) for text in g_texts]
+    p, fit, ups, window = _norm_setup(cfg, engine, max(map(len, gs)))
     coc = Cocycle(engine, p)
-    for text in g_texts:
-        row = _cocycle_payload(cfg, coc, spec.parse(text), fit, ups, window)
+    for g in gs:
+        row = _cocycle_payload(cfg, coc, g, fit, ups, window)
         ok = ok and row["paper_bound_ok"]
         writer.writerow([
             row["g"], row["d_g_e"], row["p"], row["lower"], row["tail_bound"],

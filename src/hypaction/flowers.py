@@ -65,10 +65,7 @@ class ChainEngine:
     def _small_ball_moves(self) -> list[Word]:
         """B(e, delta) \\ {e} in breadth-first order, built on first use: a
         flower needs a margin of delta, so on an explicit ball of smaller
-        radius it is never built. Empty on exact trees, where a step of
-        length 1 changes |x| by 1, so every flower is {x}."""
-        if self.spec.exact_tree:
-            return []
+        radius it is never built."""
         return build_ball(self.spec, self.spec.delta).words[1:]
 
     def flower(self, v: Word, w: Word) -> tuple[Word, ...]:

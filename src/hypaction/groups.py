@@ -319,13 +319,14 @@ class ExplicitBallSpec(GroupSpec):
     along word(vid) leaves the ball), and ``inverse[vid]``, the vertex of
     word(vid)^-1: |S| N + N integers for N vertices.
 
-    Products are computed by walking edges and are defined only while the
-    walk stays inside the ball. The product u v walks v's letters rightward
-    from u. When |u| + |v| <= R no walk can leave the ball, and the shorter
+    Products and inverses take vertex words only, found by their handles:
+    generators are distinct and none is the identity, so each one-letter
+    word is a vertex word. The product u v walks v's letters rightward from
+    u. When |u| + |v| <= R no walk can leave the ball, and the shorter
     factor is walked: u's letters, reversed, leftward from v through
     ``left`` when u is the shorter. Every other product takes the right
     walk, so ``OutOfWindowError`` is raised exactly where the right walk
-    leaves the ball. The inverse of a normal form is one lookup.
+    leaves the ball. The inverse is one lookup.
     """
 
     def __init__(self, generators, delta, adj, basepoint_idx, radius, name="ball"):
@@ -368,18 +369,26 @@ class ExplicitBallSpec(GroupSpec):
                 raise BallFileError(
                     f"interior vertex at distance {dist[vid]} is missing a generator edge"
                 )
+        # each generator's edge from e reaches the vertex spelled by it alone
+        for gi, nb in enumerate(adj[basepoint_idx]):
+            if nb is not None and words[nb] != (gi,):
+                same = repr(generators[words[nb][0]].label) if words[nb] else "the identity"
+                raise BallFileError(f"generator {generators[gi].label!r} is {same}; "
+                                    "generators must be distinct and not the identity")
         self._left = left
         self._inverse = inverse
         self._vertex_word: list[Word] = words  # type: ignore[assignment]
         self._word_vertex: dict[Word, int] = {w: i for i, w in enumerate(words)}  # type: ignore[arg-type]
 
     def validate_word(self, u: Word) -> None:
+        """A letter string no longer than the radius that is no vertex word is
+        not a normal form; a longer one may be, beyond the ball."""
         if u in self._word_vertex:
             return
         n = len(self.generators)
-        if all(isinstance(x, int) and 0 <= x < n for x in u):
+        if len(u) > self.max_word_length and all(isinstance(x, int) and 0 <= x < n for x in u):
             raise OutOfWindowError(f"word of length {len(u)} is not represented in the ball")
-        raise SpecMismatchError(f"word {u!r} does not belong to {self.name}")
+        raise SpecMismatchError(f"word {u!r} is not a normal form of {self.name}")
 
     def _walk(self, vid: int, letters: Word) -> int:
         adj = self._adj
@@ -390,24 +399,16 @@ class ExplicitBallSpec(GroupSpec):
         return vid
 
     def _mul(self, u: Word, v: Word) -> Word:
-        index = self._word_vertex
-        vid = index.get(u)
-        if vid is None:
-            vid = self._walk(index[()], u)
-        elif len(u) < len(v) and len(u) + len(v) <= self.max_word_length:
-            wid = index.get(v)
-            if wid is not None:
-                left = self._left
-                for x in reversed(u):
-                    wid = left[x][wid]
-                return self._vertex_word[wid]
-        return self._vertex_word[self._walk(vid, v)]
+        if len(u) < len(v) and len(u) + len(v) <= self.max_word_length:
+            wid = self._word_vertex[v]
+            left = self._left
+            for x in reversed(u):
+                wid = left[x][wid]
+            return self._vertex_word[wid]
+        return self._vertex_word[self._walk(self._word_vertex[u], v)]
 
     def _inv_word(self, u: Word) -> Word:
-        vid = self._word_vertex.get(u)
-        if vid is None:
-            return self._mul(GroupSpec._inv_word(self, u), ())
-        return self._vertex_word[self._inverse[vid]]
+        return self._vertex_word[self._inverse[self._word_vertex[u]]]
 
     def neighbors(self, u: Word):
         for gi, nb in enumerate(self._adj[self._word_vertex[u]]):
@@ -473,22 +474,20 @@ def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec
     inv = [g.inverse for g in gens]
     if any(not 0 <= j < len(gens) or inv[j] != i for i, j in enumerate(inv)):
         raise BallFileError("generator inverse table is not an involution")
-    edge_map: dict[tuple[int, int], int] = {}
+    adj: list[list[int | None]] = [[None] * len(gens) for _ in vertex_ids]
     for src, gi, dst in raw_edges:
         if src not in vid_of or dst not in vid_of or not 0 <= gi < len(gens):
             raise BallFileError(f"edge ({src}, {gi}, {dst}) references unknown data")
-        key = (vid_of[src], gi)
-        if edge_map.get(key, vid_of[dst]) != vid_of[dst]:
+        row = adj[vid_of[src]]
+        if row[gi] not in (None, vid_of[dst]):
             raise BallFileError(f"conflicting edges at ({src}, generator {gi})")
-        edge_map[key] = vid_of[dst]
-    for (src, gi), dst in edge_map.items():
-        if edge_map.get((dst, inv[gi])) != src:
-            raise BallFileSymmetryError(
-                f"edge ({vertex_ids[src]}, {gi}, {vertex_ids[dst]}) has no reverse"
-            )
-    adj: list[list[int | None]] = [[None] * len(gens) for _ in vertex_ids]
-    for (src, gi), dst in edge_map.items():
-        adj[src][gi] = dst
+        row[gi] = vid_of[dst]
+    for src, row in enumerate(adj):
+        for gi, dst in enumerate(row):
+            if dst is not None and adj[dst][inv[gi]] != src:
+                raise BallFileSymmetryError(
+                    f"edge ({vertex_ids[src]}, {gi}, {vertex_ids[dst]}) has no reverse"
+                )
     return ExplicitBallSpec(gens, delta, adj, vid_of[basepoint], radius, name)
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, configs, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -381,6 +382,32 @@ def test_memory_charge_covers_a_windowed_norm():
     assert peak * cfg.max_vertices() <= cfg.memory_budget_mb * (1 << 20) * len(ball)
 
 
+def test_memory_charge_covers_the_walk_from_a_long_g():
+    # the walk from g holds words of up to R + |g| letters, 8 bytes each; at
+    # |g| = 40 a windowed norm peaks above the charge for |g| = 1, and within
+    # the charge for its own g
+    import tracemalloc
+
+    import hypaction as H
+
+    cfg = RunConfig.load(None, {"group": "free:2", "delta": 2, "radius": 8})
+    spec = cfg.make_spec()
+    g = spec.parse("ab" * 20)
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    fit = H.DecayFit(constant=1.0, base=0.01, n_samples=0, n_positive=0)
+    tracemalloc.start()
+    try:
+        ball = H.build_ball(spec, cfg.radius)
+        coc.norm(g, window_ball=ball, fit=fit, upsilon=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 13121 and len(g) == 40
+    budget = cfg.memory_budget_mb * (1 << 20)
+    assert peak * cfg.max_vertices() > budget * len(ball)
+    assert peak * cfg.max_vertices(len(g)) <= budget * len(ball)
+
+
 def test_report_selects_p_once(tmp_path, monkeypatch):
     from hypaction import analysis
 
@@ -605,3 +632,105 @@ def test_verify_prints_no_p_where_none_was_selected(tmp_path, monkeypatch):
     _, text = run_cli(["verify", "--group", "free:2", "--radius", "3", "--samples", "0",
                        "--p", "3"], tmp_path, "given")
     assert json.loads(text)["p"] == 3.0
+
+
+def _stall_first_step(q_path):
+    # the path repeats a before its second point: endpoints and length hold,
+    # and the first step has length 0
+    def stalled(self, a, b):
+        path = q_path(self, a, b)
+        return path[:1] + path[:1] + path[2:] if len(path) > 2 else path
+    return stalled
+
+
+def _letters_reversed_from_e(q_path):
+    # from e, the geodesic that spells b's normal form last letter first: a
+    # geodesic on line2, which is abelian, but not the translate of the
+    # path from any other base
+    def reversed_from_e(self, a, b):
+        if a:
+            return q_path(self, a, b)
+        points = [()]
+        for x in reversed(b):
+            points.append(self.spec._mul(points[-1], (x,)))
+        return tuple(points)
+    return reversed_from_e
+
+
+def _point_at_base(f_chain, near):
+    # f(a, b) as the point mass at a, where d(a, b) is at most 10 delta
+    # (near, and positive) or beyond it
+    def at_base(self, a, b):
+        d = len(self.spec.offset(a, b))
+        if (0 < d <= self.ten_delta) if near else d > self.ten_delta:
+            return {a: Fraction(1)}
+        return f_chain(self, a, b)
+    return at_base
+
+
+def _plant(monkeypatch, fault):
+    from dataclasses import replace
+
+    from hypaction import chains
+    from hypaction.bicombing import Bicombing
+    from hypaction.cocycle import Cocycle
+    from hypaction.flowers import ChainEngine
+
+    if fault == "geodesy":
+        monkeypatch.setattr(Bicombing, "q_path", _stall_first_step(Bicombing.q_path))
+    elif fault == "equivariance":
+        monkeypatch.setattr(Bicombing, "q_path", _letters_reversed_from_e(Bicombing.q_path))
+    elif fault == "convexity":
+        monkeypatch.setattr(chains, "coefficient_sum", lambda chain: 2)
+    elif fault in ("base-case", "support"):
+        monkeypatch.setattr(ChainEngine, "f_chain",
+                            _point_at_base(ChainEngine.f_chain, fault == "base-case"))
+    elif fault == "chain-equivariance":
+        monkeypatch.setattr(chains, "translate", lambda spec, g, chain: chain)
+    elif fault == "h-normalization":
+        monkeypatch.setattr(chains, "norm_p", lambda h, p: 2.0)
+    elif fault == "cocycle-identity":
+        verify_identity = Cocycle.verify_identity
+        monkeypatch.setattr(Cocycle, "verify_identity", lambda self, *args, **kw: replace(
+            verify_identity(self, *args, **kw), residual_zero=False, witnesses=[()]))
+    elif fault == "properness-count":
+        monkeypatch.setattr(Cocycle, "properness_count", lambda self, g: 0)
+    else:
+        norm = Cocycle.norm
+        monkeypatch.setattr(Cocycle, "norm",
+                            lambda self, g, **kw: replace(norm(self, g, **kw), lower=0.0))
+
+
+# fault -> the check that must find it, the group, the witness's keys and its
+# kind where the check has several; line2 is the radius-30 ball file, where
+# geodesics are not unique
+PLANTED = {
+    "geodesy": ("bicombing", "free:2", {"kind", "a", "b"}, "geodesy"),
+    "equivariance": ("bicombing", "line2", {"kind", "g"}, "equivariance"),
+    "convexity": ("chain-convexity-support", "free:2", {"kind", "b", "a"}, "convexity"),
+    "base-case": ("chain-convexity-support", "free:2", {"kind", "b", "a"}, "base-case"),
+    "support": ("chain-convexity-support", "free:2", {"kind", "witness"}, "support"),
+    "chain-equivariance": ("chain-equivariance", "free:2", {"g", "b", "a"}, None),
+    "h-normalization": ("h-normalization", "free:2", {"b", "a"}, None),
+    "cocycle-identity": ("cocycle-identity", "free:2", {"g", "k", "gamma"}, None),
+    "properness-count": ("properness", "free:2", {"g", "count"}, None),
+    "properness-lower": ("properness", "free:2", {"g", "lower"}, None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_verify_serializes_the_witness_of_a_planted_fault(fault, tmp_path, monkeypatch):
+    # each fault breaks what one check tests; that check fails, rather than
+    # being inconclusive, verify exits 1 and the report holds the witness
+    name, group, keys, kind = PLANTED[fault]
+    if group == "line2":
+        group = f"ball:{tmp_path / 'line2r30.json'}"
+        (tmp_path / "line2r30.json").write_text(json.dumps(line2_ball_json(30)))
+    _plant(monkeypatch, fault)
+    code, text = run_cli(["verify", "--group", group, "--radius", "6", "--samples", "400"],
+                         tmp_path)
+    check = next(c for c in json.loads(text)["checks"] if c["name"] == name)
+    assert code == 1 and not check["passed"] and not check["inconclusive"]
+    witness = check["details"]["witness"]
+    assert set(witness) == keys
+    assert witness.get("kind") == kind

@@ -43,7 +43,9 @@ def test_flower_brute_force_product(z23, z23_engine):
 
 @pytest.mark.parametrize("descriptor", ["free:2", "zm:2,2,2"])
 def test_flower_brute_force_exact_tree(descriptor):
-    # exact trees list no flower moves; direct enumeration finds no other member
+    # the oracle is not told that tree flowers are {x}: a move of length 1
+    # changes |x| by 1 on a tree, so its moves find no other member, and
+    # neither does direct enumeration
     spec = H.spec_from_descriptor(descriptor)
     assert spec.exact_tree
     engine = H.ChainEngine(spec)

@@ -479,6 +479,44 @@ def test_ball_file_out_of_window(f2):
         spec.validate_word((0, 2, 0))  # a valid letter string absent from the ball
 
 
+def test_ball_file_short_words_off_the_ball_are_not_normal_forms():
+    # a letter string no longer than the radius is a normal form exactly when
+    # it is a vertex word; a longer one may be one beyond the ball
+    spec = H.ball_from_json(line2_ball_json(30), delta=1)
+    p, big_p, q = (spec.parse(x)[0] for x in ("p", "P", "q"))
+    with pytest.raises(SpecMismatchError):
+        spec.validate_word((p, big_p))
+    with pytest.raises(SpecMismatchError):
+        spec.validate_word((q, p))  # p q is the normal form of 3
+    with pytest.raises(OutOfWindowError):
+        spec.validate_word((q,) * 31)
+
+
+def _integers_ball_json(gens, radius):
+    """Z as a ball file, from (label, step, inverse index) per generator."""
+    verts = range(-radius, radius + 1)
+    return {
+        "generators": [{"label": label, "inverse": inv} for label, _, inv in gens],
+        "basepoint": "0",
+        "radius": radius,
+        "vertices": [str(n) for n in verts],
+        "edges": [[str(n), gi, str(n + step)] for n in verts
+                  for gi, (_, step, _) in enumerate(gens) if abs(n + step) <= radius],
+    }
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([("p", 1, 1), ("P", -1, 0), ("r", 1, 3), ("R", -1, 2)], "'r' is 'p'"),
+    ([("p", 1, 1), ("P", -1, 0), ("i", 0, 2)], "'i' is the identity"),
+])
+def test_ball_file_generators_are_distinct_and_not_the_identity(gens, message):
+    # both files are consistent Cayley graphs of Z, but a duplicate or an
+    # identity generator is no vertex word of its own
+    with pytest.raises(BallFileError, match=message):
+        H.ball_from_json(_integers_ball_json(gens, 3))
+    H.ball_from_json(_integers_ball_json(gens[:2], 3))
+
+
 def test_ball_file_errors(f2):
     good = H.ball_to_json(f2, 2)
 
