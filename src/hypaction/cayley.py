@@ -45,21 +45,13 @@ class CayleyBall:
         """``gamma^-1 start`` for every vertex gamma, or ``start gamma`` when
         ``right``, indexed by handle.
 
-        Built along the BFS tree with one letter product per vertex, so a
-        sweep over the ball needs no inversions or full products. On an
-        explicit ball of radius R a letter product on the right is one
-        adjacency step, and one on the left is one table step whenever the
-        lengths of its two factors sum to at most R.
+        Built along the BFS tree by ``GroupSpec._walk_tree``, one letter step
+        per vertex, so a sweep over the ball needs no inversions or full
+        products. On an explicit ball each step is one table lookup on
+        vertex handles, a left step included, and the handles are mapped to
+        words once at the end.
         """
-        spec = self.spec
-        mul = spec._mul
-        letters = [(x,) for x in range(len(spec.generators))]
-        inverses = [letters[x] for x in spec._inv]
-        out = [start] * len(self.words)
-        for h, (par, letter) in enumerate(self.parent_letters):
-            if h:
-                out[h] = mul(out[par], letters[letter]) if right else mul(inverses[letter], out[par])
-        return out
+        return self.spec._walk_tree(self.parent_letters, start, right)
 
 
 def build_ball(spec: GroupSpec, radius: int, max_vertices: int | None = None) -> CayleyBall:

@@ -33,9 +33,11 @@ from .suite import run_suite
 # tracemalloc's peak, less 24 R, is at most 405 on free:2 (delta 2), free:3
 # and zm:2,3 at every radius the budget admits; up to |g| = 80 the charge
 # exceeds the peak of a fresh interpreter on every such ball of 4,000
-# vertices and more, and smaller ones hold at most 0.3 MB more
+# vertices and more. Smaller ones hold up to 0.28 MB more, whatever their
+# size: a fixed amount, taken off the budget before it is divided
 _BYTES_PER_VERTEX = 408
 _BYTES_PER_LETTER = 8
+_FIXED_BYTES = 1 << 19
 # config fields that take an integer; bool is rejected too
 _INT_FIELDS = ("radius", "seed", "samples", "memory_budget_mb", "delta")
 
@@ -89,7 +91,7 @@ class RunConfig:
         """The most vertices the budget admits for a ball with a windowed norm
         over it, at g_length letters of the longest g."""
         per_vertex = _BYTES_PER_VERTEX + _BYTES_PER_LETTER * (3 * self.radius + g_length)
-        return max(1000, self.memory_budget_mb * (1 << 20) // per_vertex)
+        return max(1000, (self.memory_budget_mb * (1 << 20) - _FIXED_BYTES) // per_vertex)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -73,6 +73,10 @@ class Cocycle:
         # id of a spread chain of the engine's memo -> (the chain, h = f / ||f||_p);
         # holding the chain keeps its id from being reused
         self._units: dict[int, tuple[Chain, dict[Word, float]]] = {}
+        # (f1, f2) -> ||h_e(u) - h_e(v)||_p^p for pairs with a spread side, each
+        # side its word or its chain's id: as many entries as pairs of
+        # distinct values of f, whatever the window
+        self._pairs: dict[tuple[Word | int, Word | int], float] = {}
         # the window ball last evaluated and, per vertex gamma in handle order,
         # f(e, gamma^-1): the eta half of every windowed norm over it
         self._eta: tuple[CayleyBall, list[Word | Chain]] | None = None
@@ -98,9 +102,17 @@ class Cocycle:
         """||h_e(u) - h_e(v)||_p^p from f1 = f(e, u) and f2 = f(e, v) as
         ``ChainEngine._f_point_basepoint`` returns them: a word for a unit
         point mass, otherwise the spread chain. Equal to
-        ``normalized_diff_pow`` on the two chains, bit for bit."""
-        if isinstance(f1, dict) or isinstance(f2, dict):
-            return diff_pow(self._unit(f1), self._unit(f2), self.p)
+        ``normalized_diff_pow`` on the two chains, bit for bit. A pair with
+        a spread side is evaluated once per cocycle, keyed by the word of a
+        point mass and the id of a spread chain, which ``_units`` holds."""
+        spread1 = isinstance(f1, dict)
+        spread2 = isinstance(f2, dict)
+        if spread1 or spread2:
+            key = (id(f1) if spread1 else f1, id(f2) if spread2 else f2)
+            got = self._pairs.get(key)
+            if got is None:
+                got = self._pairs[key] = diff_pow(self._unit(f1), self._unit(f2), self.p)
+            return got
         # point masses of unit coefficient
         return 0.0 if f1 == f2 else 2.0
 

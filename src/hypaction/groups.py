@@ -17,7 +17,8 @@ supported:
   word problem is not solved here. Their vertices are integer handles; a
   table of left products by each generator and a table of inverses, both
   filled in the breadth-first search that numbers the vertices, make an
-  inverse one lookup and a product a walk of its shorter factor.
+  inverse one lookup, a product a walk of its shorter factor and each step
+  of a walk along a ball's search tree one lookup.
 
 Specs and words are immutable; every operation is pure and safe to share
 across threads.
@@ -135,6 +136,20 @@ class GroupSpec:
     def validate_word(self, u: Word) -> None:
         """Raise SpecMismatchError unless u is a normal form of this spec."""
         raise NotImplementedError
+
+    def _walk_tree(self, parent_letters, start: Word, right: bool = False) -> list[Word]:
+        """``start`` carried along a search tree: entry h is ``w^-1 start``,
+        or ``start w`` when ``right``, for the word w the tree spells to h.
+        ``parent_letters[h]`` is (parent, generator); entry 0 is the root.
+        One letter product per vertex."""
+        mul = self._mul
+        letters = [(x,) for x in range(len(self.generators))]
+        inverses = [letters[x] for x in self._inv]
+        out = [start] * len(parent_letters)
+        for h, (par, letter) in enumerate(parent_letters):
+            if h:
+                out[h] = mul(out[par], letters[letter]) if right else mul(inverses[letter], out[par])
+        return out
 
     # -- enumeration helpers ------------------------------------------------
 
@@ -326,7 +341,10 @@ class ExplicitBallSpec(GroupSpec):
     factor is walked: u's letters, reversed, leftward from v through
     ``left`` when u is the shorter. Every other product takes the right
     walk, so ``OutOfWindowError`` is raised exactly where the right walk
-    leaves the ball. The inverse is one lookup.
+    leaves the ball. The inverse is one lookup. A walk along a ball's
+    search tree (``_walk_tree``, behind ``CayleyBall.walk``) steps handles
+    through the same two tables, one lookup per vertex on either side, and
+    raises where the product walk would.
     """
 
     def __init__(self, generators, delta, adj, basepoint_idx, radius, name="ball"):
@@ -409,6 +427,32 @@ class ExplicitBallSpec(GroupSpec):
 
     def _inv_word(self, u: Word) -> Word:
         return self._vertex_word[self._inverse[self._word_vertex[u]]]
+
+    def _walk_tree(self, parent_letters, start: Word, right: bool = False) -> list[Word]:
+        """The tree walk on vertex handles: a right step by s is ``adj[vid][s]``
+        and a left step by s^-1 is ``left[inv[s]][vid]``. Each entry is the
+        right walk's end, so a None entry is exactly where the product walk
+        leaves the ball and raises ``OutOfWindowError``."""
+        n = len(parent_letters)
+        vids = [self._word_vertex[start]] * n
+        if right:
+            adj = self._adj
+            for h in range(1, n):
+                par, letter = parent_letters[h]
+                vid = adj[vids[par]][letter]
+                if vid is None:
+                    raise OutOfWindowError("the walk leaves the explicit ball")
+                vids[h] = vid
+        else:
+            rows = [self._left[x] for x in self._inv]
+            for h in range(1, n):
+                par, letter = parent_letters[h]
+                vid = rows[letter][vids[par]]
+                if vid is None:
+                    raise OutOfWindowError("the walk leaves the explicit ball")
+                vids[h] = vid
+        word = self._vertex_word
+        return [word[vid] for vid in vids]
 
     def neighbors(self, u: Word):
         for gi, nb in enumerate(self._adj[self._word_vertex[u]]):

@@ -188,3 +188,29 @@ def test_walk_matches_products(f2, z23, f2_ball6, z23_ball6, right):
             expected = [spec.multiply(start, w) if right
                         else spec.multiply(spec.invert(w), start) for w in ball.words]
             assert ball.walk(start, right=right) == expected
+
+
+@pytest.mark.parametrize("data", [line2_ball_json(22), line2_ball_json(30),
+                                  H.ball_to_json(H.FreeProductSpec((2, 3)), 8)],
+                         ids=["line2-r22", "line2-r30", "zm23-r8"])
+def test_explicit_ball_walks_match_the_product_walk(data):
+    # the oracle is the generic walk, one _mul per vertex, on the same spec;
+    # the table walk must give the same words and leave the ball where it does
+    spec = H.ball_from_json(data)
+
+    def outcome(walk, ball, start, right):
+        try:
+            return walk(spec, ball.parent_letters, start, right)
+        except OutOfWindowError:
+            return "left the ball"
+
+    full = H.build_ball(spec, spec.max_word_length)
+    starts = full.words[::max(1, len(full) // 12)] + [full.words[-1]]
+    kinds = set()
+    for ball in (full, H.build_ball(spec, spec.max_word_length // 2)):
+        for start in starts:
+            for right in (False, True):
+                got = outcome(type(spec)._walk_tree, ball, start, right)
+                assert got == outcome(H.GroupSpec._walk_tree, ball, start, right)
+                kinds.add(got == "left the ball")
+    assert kinds == {False, True}

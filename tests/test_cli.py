@@ -408,6 +408,42 @@ def test_memory_charge_covers_the_walk_from_a_long_g():
     assert peak * cfg.max_vertices(len(g)) <= budget * len(ball)
 
 
+_FRESH_PEAK = """
+import tracemalloc
+import hypaction as H
+spec = H.FreeProductSpec((2, 3))
+g = spec.parse("st" * 5)
+coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+fit = H.DecayFit(constant=1.0, base=0.01, n_samples=0, n_positive=0)
+tracemalloc.start()
+ball = H.build_ball(spec, 16)
+coc.norm(g, window_ball=ball, fit=fit, upsilon=4.0)
+print(len(ball), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_memory_charge_covers_the_fixed_part_of_a_fresh_interpreter():
+    # a fresh interpreter allocates a fixed amount on a first norm that a
+    # long-lived one (this test process) has already allocated; on a small
+    # ball it exceeds the per-vertex charge, and the fixed term covers it
+    import os
+    import subprocess
+    import sys
+
+    import hypaction
+    from hypaction import cli
+
+    src = os.path.dirname(os.path.dirname(hypaction.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _FRESH_PEAK], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    n, peak = map(int, out.split())
+    per_vertex = cli._BYTES_PER_VERTEX + cli._BYTES_PER_LETTER * (3 * 16 + 10)
+    assert n == 1786
+    assert n * per_vertex < peak <= cli._FIXED_BYTES + n * per_vertex
+
+
 def test_report_selects_p_once(tmp_path, monkeypatch):
     from hypaction import analysis
 

@@ -383,6 +383,43 @@ def test_windowed_norms_evaluate_eta_once_per_window(name):
     assert calls == (len(nontrivial) + 2) * len(ball)
 
 
+def test_one_cocycle_evaluates_each_spread_pair_once():
+    # norms of every g in B(e, 12) over the widest window the radius-30 line2
+    # ball admits, from one cocycle and from a fresh one per g, agree bit for
+    # bit; the shared pair values are keyed by the values of f, so their
+    # number is bounded by the memo M, whatever the window
+    from hypaction.chains import as_chain, normalized_diff_pow
+
+    spec = H.ball_from_json(line2_ball_json(30), delta=1)
+    window = H.build_ball(spec, 17)  # |g| + 17 + delta <= 30
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    fpoint = coc.engine._f_point_basepoint
+    for g in H.build_ball(spec, 12).words:
+        shared = _window_norm(coc, g, window).lower
+        fresh = _window_norm(H.Cocycle(H.ChainEngine(spec), 4.0), g, window).lower
+        assert float.hex(shared) == float.hex(fresh)
+        # and every term evaluated anew, in the window's order
+        terms = [normalized_diff_pow(as_chain(fpoint(u1)), as_chain(fpoint(u2)), 4.0)
+                 for u1, u2 in zip(window.walk(g), window.walk(()))]
+        assert float.hex(shared) == float.hex(sum(terms))
+    memo = coc.engine.cache.memo
+    m, sphere = len(memo), H.build_ball(spec, 10).layer_sizes()[-1]
+    assert m and coc._pairs
+    assert len(coc._pairs) <= 2 * m * (m + sphere)
+    # each key holds a memo chain's id on at least one side; a point side
+    # is a word of B(e, 10 delta)
+    spread = {id(c) for c in memo.values()}
+    for key in coc._pairs:
+        assert any(side in spread for side in key)
+        assert all(side in spread if isinstance(side, int) else len(side) <= 10 for side in key)
+    # no chain of zm:2,3 spreads
+    spec, ball, words = _window_case("zm:2,3")
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    for g in words:
+        _window_norm(coc, g, ball)
+    assert coc._pairs == {}
+
+
 # ---------------------------------------------------------------- properness
 
 
