@@ -3,8 +3,9 @@
 The growth constant upsilon = #B(e, 1) bounds #B(e, r) by upsilon^r. The
 difference norms of the averaged chains decay exponentially in the Gromov
 product; the decay base and constant are fitted as an upper envelope over
-samples, and an exponent p with (base^p * upsilon) < 1/2 is selected so
-that the geometric tail of the cocycle norm converges with an explicit bound.
+samples, and an exponent p with (base^p * upsilon) < 1/4 is selected, a
+margin under the 1/2 at which the geometric tail of the cocycle norm
+converges with an explicit bound.
 """
 
 from __future__ import annotations

@@ -80,6 +80,9 @@ class Cocycle:
         # the window ball last evaluated and, per vertex gamma in handle order,
         # f(e, gamma^-1): the eta half of every windowed norm over it
         self._eta: tuple[CayleyBall, list[Word | Chain]] | None = None
+        # with vertex handles, f(e, w) per vertex w, filled when a walk first
+        # reaches w
+        self._f_at: list[Word | Chain | None] = [None] * self.spec.vertex_count
 
     # -- pointwise values -----------------------------------------------------
 
@@ -164,6 +167,9 @@ class Cocycle:
         return self._windowed_norm(g, window_ball, fit, upsilon)
 
     def _windowed_norm(self, g, ball, fit, upsilon) -> CocycleResult:
+        """Sum ||b(g)(gamma)||_p^p over the window ball, reading f(e, .) at
+        gamma^-1 g and gamma^-1 through ``_f_walk``, the eta half once per
+        ball."""
         p = self.p
         if fit.base ** p * upsilon >= 0.5:
             raise PSelectionError(
@@ -178,9 +184,8 @@ class Cocycle:
             # ||b(g)(gamma)||_p^p = ||h_e(gamma^-1 g) - h_e(gamma^-1)||_p^p by
             # left-invariance; b(e) = 0
             diff = self._diff_pow
-            fpoint = self.engine._f_point_basepoint
-            for u, f2 in zip(ball.walk(g), self._eta_over(ball)):
-                val = diff(fpoint(u), f2)
+            for f1, f2 in zip(self._f_walk(ball, g), self._eta_over(ball)):
+                val = diff(f1, f2)
                 if val:
                     nonzero += 1
                     lower += val
@@ -200,9 +205,26 @@ class Cocycle:
         """f(e, gamma^-1) for every vertex gamma of the window, in handle
         order: one walk per window ball, kept until another ball is asked for."""
         if self._eta is None or self._eta[0] is not ball:
-            fpoint = self.engine._f_point_basepoint
-            self._eta = (ball, [fpoint(u) for u in ball.walk(())])
+            self._eta = (ball, self._f_walk(ball, ()))
         return self._eta[1]
+
+    def _f_walk(self, ball: CayleyBall, start: Word) -> list[Word | Chain]:
+        """f(e, gamma^-1 start) for every vertex gamma of the window, in
+        handle order. With vertex handles, each vertex's descent runs once
+        per cocycle, whatever the window, and a point mass is held as the
+        spec's own vertex word (it is a prefix of one)."""
+        fpoint = self.engine._f_point_basepoint
+        spec = self.spec
+        if not spec.vertex_count:
+            return [fpoint(u) for u in ball.walk(start)]
+        at = self._f_at
+        words = spec._vertex_word
+        vids = spec._walk_handles(ball.parent_letters, start)
+        for vid in vids:
+            if at[vid] is None:
+                f = fpoint(words[vid])
+                at[vid] = f if isinstance(f, dict) else words[spec._word_vertex[f]]
+        return [at[vid] for vid in vids]
 
     def _exact_tree_norm(self, g, audit_samples=0, seed=0) -> CocycleResult:
         """Count the geodesic-neighborhood window of a tree family in closed form.

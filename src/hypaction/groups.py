@@ -74,6 +74,10 @@ class GroupSpec:
     # the longest normal form the spec can represent; finite only on
     # explicit balls, where words end at the boundary of the loaded ball
     max_word_length: float = math.inf
+    # the number of vertex handles on a family that numbers its elements
+    # (explicit balls), which provides ``_walk_handles``, ``_vertex_word``
+    # and ``_word_vertex``; 0 where words are the only handles
+    vertex_count = 0
 
     def __init__(self, generators: tuple[Generator, ...], delta: int, name: str):
         if delta < 1:
@@ -342,9 +346,11 @@ class ExplicitBallSpec(GroupSpec):
     ``left`` when u is the shorter. Every other product takes the right
     walk, so ``OutOfWindowError`` is raised exactly where the right walk
     leaves the ball. The inverse is one lookup. A walk along a ball's
-    search tree (``_walk_tree``, behind ``CayleyBall.walk``) steps handles
-    through the same two tables, one lookup per vertex on either side, and
-    raises where the product walk would.
+    search tree (``_walk_handles``) steps handles through the same two
+    tables, one lookup per vertex on either side, and raises where the
+    product walk would; ``_walk_tree``, behind ``CayleyBall.walk``, is that
+    walk mapped to words. A windowed cocycle norm takes the handles
+    themselves and reads f(e, .) from one slot per vertex.
     """
 
     def __init__(self, generators, delta, adj, basepoint_idx, radius, name="ball"):
@@ -395,6 +401,7 @@ class ExplicitBallSpec(GroupSpec):
                                     "generators must be distinct and not the identity")
         self._left = left
         self._inverse = inverse
+        self.vertex_count = n_vertices
         self._vertex_word: list[Word] = words  # type: ignore[assignment]
         self._word_vertex: dict[Word, int] = {w: i for i, w in enumerate(words)}  # type: ignore[arg-type]
 
@@ -428,11 +435,11 @@ class ExplicitBallSpec(GroupSpec):
     def _inv_word(self, u: Word) -> Word:
         return self._vertex_word[self._inverse[self._word_vertex[u]]]
 
-    def _walk_tree(self, parent_letters, start: Word, right: bool = False) -> list[Word]:
+    def _walk_handles(self, parent_letters, start: Word, right: bool = False) -> list[int]:
         """The tree walk on vertex handles: a right step by s is ``adj[vid][s]``
         and a left step by s^-1 is ``left[inv[s]][vid]``. Each entry is the
-        right walk's end, so a None entry is exactly where the product walk
-        leaves the ball and raises ``OutOfWindowError``."""
+        right walk's end, so the walk raises ``OutOfWindowError`` exactly
+        where the product walk leaves the ball."""
         n = len(parent_letters)
         vids = [self._word_vertex[start]] * n
         if right:
@@ -451,8 +458,11 @@ class ExplicitBallSpec(GroupSpec):
                 if vid is None:
                     raise OutOfWindowError("the walk leaves the explicit ball")
                 vids[h] = vid
+        return vids
+
+    def _walk_tree(self, parent_letters, start: Word, right: bool = False) -> list[Word]:
         word = self._vertex_word
-        return [word[vid] for vid in vids]
+        return [word[vid] for vid in self._walk_handles(parent_letters, start, right)]
 
     def neighbors(self, u: Word):
         for gi, nb in enumerate(self._adj[self._word_vertex[u]]):

@@ -195,8 +195,12 @@ def test_walk_matches_products(f2, z23, f2_ball6, z23_ball6, right):
                          ids=["line2-r22", "line2-r30", "zm23-r8"])
 def test_explicit_ball_walks_match_the_product_walk(data):
     # the oracle is the generic walk, one _mul per vertex, on the same spec;
-    # the table walk must give the same words and leave the ball where it does
+    # the table walk, and the handle walk mapped to words, must give the same
+    # words and leave the ball where it does
     spec = H.ball_from_json(data)
+
+    def handle_walk(spec, parent_letters, start, right):
+        return [spec._vertex_word[h] for h in spec._walk_handles(parent_letters, start, right)]
 
     def outcome(walk, ball, start, right):
         try:
@@ -212,5 +216,7 @@ def test_explicit_ball_walks_match_the_product_walk(data):
             for right in (False, True):
                 got = outcome(type(spec)._walk_tree, ball, start, right)
                 assert got == outcome(H.GroupSpec._walk_tree, ball, start, right)
-                kinds.add(got == "left the ball")
-    assert kinds == {False, True}
+                assert got == outcome(handle_walk, ball, start, right)
+                kinds.add((right, got == "left the ball"))
+    # left and right walks, each inside the ball and leaving it
+    assert kinds == set(itertools.product((False, True), repeat=2))

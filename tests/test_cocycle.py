@@ -1,6 +1,7 @@
 """The displacement cocycle: pointwise values, windows, properness."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,27 @@ def _window_norm(coc, g, ball):
 _WINDOW_CASES = ["line2", "zm:2,3", "free:2-delta2"]
 
 
+def _count_descents(engine) -> Counter:
+    """Count the engine's evaluations of f(e, x) per x from now on; calls the
+    descent makes to itself are not counted."""
+    fpoint = engine._f_point_basepoint
+    calls = Counter()
+    depth = 0
+
+    def counting(x):
+        nonlocal depth
+        if not depth:
+            calls[x] += 1
+        depth += 1
+        try:
+            return fpoint(x)
+        finally:
+            depth -= 1
+
+    engine._f_point_basepoint = counting
+    return calls
+
+
 @pytest.mark.parametrize("name", _WINDOW_CASES)
 def test_windowed_norms_on_one_cocycle_sum_the_differences(name):
     spec, ball, words = _window_case(name)
@@ -356,52 +378,59 @@ def test_switching_window_balls_gives_each_its_own_values(name):
 
 @pytest.mark.parametrize("name", _WINDOW_CASES)
 def test_windowed_norms_evaluate_eta_once_per_window(name):
-    # k norms over W evaluate f(e, .) (k + 1) |W| times, not 2 k |W|; calls
-    # the descent makes to itself are not counted
+    # k norms over W evaluate f(e, .) (k + 1) |W| times, not 2 k |W|; on an
+    # explicit ball, once at each distinct vertex that eta and the walks from
+    # g reach, fewer still. Calls the descent makes to itself are not counted
     spec, ball, words = _window_case(name)
     engine = H.ChainEngine(spec)
     coc = H.Cocycle(engine, 4.0)
-    fpoint = engine._f_point_basepoint
-    calls = depth = 0
-
-    def counting(x):
-        nonlocal calls, depth
-        calls += depth == 0
-        depth += 1
-        try:
-            return fpoint(x)
-        finally:
-            depth -= 1
-
-    engine._f_point_basepoint = counting
+    calls = _count_descents(engine)
     nontrivial = words[1:]
     for g in nontrivial:
         _window_norm(coc, g, ball)
-    assert calls == (len(nontrivial) + 1) * len(ball)
+    per_window = (len(nontrivial) + 1) * len(ball)
+    if spec.vertex_count:
+        # words[0] = e: the walk from e is eta's
+        reached = {u for g in words for u in ball.walk(g)}
+        assert set(calls) == reached and max(calls.values()) == 1
+        assert sum(calls.values()) < per_window
+    else:
+        assert sum(calls.values()) == per_window
+    before = sum(calls.values())
     _window_norm(coc, (), ball)  # b(e) = 0 evaluates nothing
     _window_norm(coc, nontrivial[0], ball)
-    assert calls == (len(nontrivial) + 2) * len(ball)
+    again = 0 if spec.vertex_count else len(ball)
+    assert sum(calls.values()) == before + again
 
 
 def test_one_cocycle_evaluates_each_spread_pair_once():
     # norms of every g in B(e, 12) over the widest window the radius-30 line2
-    # ball admits, from one cocycle and from a fresh one per g, agree bit for
-    # bit; the shared pair values are keyed by the values of f, so their
-    # number is bounded by the memo M, whatever the window
+    # ball admits and a smaller one, in turn, from one cocycle and from a
+    # fresh one per g, agree bit for bit; the shared pair values are keyed by
+    # the values of f, so their number is bounded by the memo M, whatever the
+    # window, and f is evaluated at most once per vertex of the ball file
     from hypaction.chains import as_chain, normalized_diff_pow
 
-    spec = H.ball_from_json(line2_ball_json(30), delta=1)
-    window = H.build_ball(spec, 17)  # |g| + 17 + delta <= 30
+    data = line2_ball_json(30)
+    spec = H.ball_from_json(data, delta=1)
+    windows = (H.build_ball(spec, 17), H.build_ball(spec, 15))  # |g| + 17 + delta <= 30
     coc = H.Cocycle(H.ChainEngine(spec), 4.0)
-    fpoint = coc.engine._f_point_basepoint
+    calls = _count_descents(coc.engine)
+    fpoint = H.ChainEngine(spec)._f_point_basepoint
     for g in H.build_ball(spec, 12).words:
-        shared = _window_norm(coc, g, window).lower
-        fresh = _window_norm(H.Cocycle(H.ChainEngine(spec), 4.0), g, window).lower
-        assert float.hex(shared) == float.hex(fresh)
-        # and every term evaluated anew, in the window's order
-        terms = [normalized_diff_pow(as_chain(fpoint(u1)), as_chain(fpoint(u2)), 4.0)
-                 for u1, u2 in zip(window.walk(g), window.walk(()))]
-        assert float.hex(shared) == float.hex(sum(terms))
+        for window in windows:
+            shared = _window_norm(coc, g, window).lower
+            fresh = _window_norm(H.Cocycle(H.ChainEngine(spec), 4.0), g, window).lower
+            assert float.hex(shared) == float.hex(fresh)
+            # and every term evaluated anew, in the window's order
+            terms = [normalized_diff_pow(as_chain(fpoint(u1)), as_chain(fpoint(u2)), 4.0)
+                     for u1, u2 in zip(window.walk(g), window.walk(()))]
+            assert float.hex(shared) == float.hex(sum(terms))
+            # one slot per vertex of the ball file, whatever g and the window
+            assert len(coc._f_at) == len(data["vertices"])
+    # and each slot filled by one evaluation
+    assert calls and max(calls.values()) == 1
+    assert len(calls) == sum(f is not None for f in coc._f_at)
     memo = coc.engine.cache.memo
     m, sphere = len(memo), H.build_ball(spec, 10).layer_sizes()[-1]
     assert m and coc._pairs
