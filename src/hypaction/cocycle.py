@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .analysis import tail_bound
 from .cayley import CayleyBall
 from .chains import Chain, as_chain, diff_pow, normalized, sub, translate
-from .errors import ExactnessError, InvariantViolation, PSelectionError
+from .errors import ExactnessError, InvariantViolation, PSelectionError, SpecMismatchError
 from .flowers import ChainEngine
 from .groups import Word
 
@@ -52,7 +52,8 @@ class CocycleResult:
 
 @dataclass
 class IdentityReport:
-    """Pointwise residual check of b(gk) = pi(g) b(k) + b(g) over a window."""
+    """Residual check of b(gk) = pi(g) b(k) + b(g) over a window, at each
+    distinct support point of the two chains of every vertex."""
 
     vertices: int
     residual_zero: bool
@@ -176,6 +177,7 @@ class Cocycle:
                 f"rho^p * upsilon = {fit.base ** p * upsilon:.4f} is not below 1/2; "
                 "pick a larger p before evaluating windows"
             )
+        self._require_window_of(ball)
         # the window evaluations reach distance radius + d(e, g) + delta
         self.engine._require_margin(g, ball.radius + self.spec.delta)
         lower = 0.0
@@ -200,6 +202,17 @@ class Cocycle:
             window_size=len(ball),
             nonzero_count=nonzero,
         )
+
+    def _require_window_of(self, ball: CayleyBall) -> None:
+        """Raise SpecMismatchError unless the window is a ball of the
+        cocycle's group: its spec, or one of the same name and generators
+        (another delta of the same group)."""
+        theirs, ours = ball.spec, self.spec
+        if theirs is not ours and (theirs.name != ours.name
+                                   or theirs.generators != ours.generators):
+            raise SpecMismatchError(
+                f"the window is a ball of {theirs.name}, not of the cocycle's group {ours.name}"
+            )
 
     def _eta_over(self, ball: CayleyBall) -> list[Word | Chain]:
         """f(e, gamma^-1) for every vertex gamma of the window, in handle
@@ -354,18 +367,20 @@ class Cocycle:
         translated by gamma and by g after m, and b(g)(gamma) and the tail of
         (pi(g) b(k))(gamma) likewise from h_e(gamma^-1 g); the two eta terms
         cancel symbolically. The sweep checks that the two translations
-        agree, gamma w == g (m w), at every support point w, so each term
-        cancels its partner. This tests the group law and the walks; the
-        literal audits, which re-derive f(m, k), f(gamma, gk) and f(m, e)
-        from scratch at a fraction of the vertices and compare each with its
-        identity chain translated by its own base, are the independent check
-        of the equivariance of f.
+        agree, gamma w == g (m w), at each distinct support point w of the
+        two chains, so each term cancels its partner. This tests the group
+        law and the walks; the literal audits, which re-derive f(m, k),
+        f(gamma, gk) and f(m, e) from scratch at a fraction of the vertices
+        and compare each with its identity chain translated by its own base,
+        are the independent check of the equivariance of f.
 
         The translates gamma^-1 gk, gamma^-1 g and g^-1 gamma of every
         vertex of the window come from three ``CayleyBall.walk`` passes
-        along its BFS tree.
+        along its BFS tree. A window of another group raises
+        SpecMismatchError.
         """
         spec = self.spec
+        self._require_window_of(window)
         spec.validate_word(g)
         spec.validate_word(k)
         mul = spec._mul
@@ -380,10 +395,14 @@ class Cocycle:
         fpoint = self.engine._f_point_basepoint
         for gamma, u1, u2, m in items:
             w1, w2 = fpoint(u1), fpoint(u2)
-            # two point masses are looped over as words: building unit dicts
-            # for them slows the tree sweeps
-            spread = isinstance(w1, dict) or isinstance(w2, dict)
-            for w in (*as_chain(w1), *as_chain(w2)) if spread else (w1, w2):
+            # each distinct point once; a point mass is its word, with no
+            # unit dict built for it
+            spread1, spread2 = isinstance(w1, dict), isinstance(w2, dict)
+            if spread1 or spread2:
+                points = (w1.keys() if spread1 else {w1}) | (w2.keys() if spread2 else {w2})
+            else:
+                points = (w1,) if w1 == w2 else (w1, w2)
+            for w in points:
                 if mul(gamma, w) != mul(g, mul(m, w)):
                     if len(witnesses) < _MAX_WITNESSES:
                         witnesses.append(gamma)

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 import hypaction as H
-from hypaction.errors import ExactnessError, InvariantViolation, PSelectionError
+from hypaction.chains import as_chain
+from hypaction.cocycle import _MAX_WITNESSES
+from hypaction.errors import (
+    ExactnessError,
+    InvariantViolation,
+    PSelectionError,
+    SpecMismatchError,
+)
 from hypaction.suite import _random_deep_word
 
 from line2 import endpoint, line2_ball_json
@@ -553,38 +560,169 @@ def test_identity_product_family(z23, z23_cocycle, z23_ball6):
         assert rep.residual_zero
 
 
-@pytest.mark.parametrize("family", ["free:2", "line2"])
-def test_identity_reports_a_non_associative_product(monkeypatch, family):
-    # break the group law at one product gamma0 * w0, where w0 is a support
-    # point of h_e(gamma0^-1 gk): then (g m) w0 != g (m w0) at gamma0 only
+def _planted_fault(family, side):
+    """(spec, engine, g, k, window, gamma0, w0): a window vertex gamma0 and a
+    point w0 of supp f(e, gamma0^-1 gk) (side "gk"), or of supp f(e,
+    gamma0^-1 g) outside supp f(e, gamma0^-1 gk) (side "g"). On line2 the
+    chain that holds w0 spreads."""
     if family == "free:2":
         spec = H.FreeGroupSpec(2)
         g, k = spec.parse("ab"), spec.parse("aab")
     else:
-        spec = H.ball_from_json(line2_ball_json(30), delta=1)
-        by_end = {endpoint(w): w for w in H.build_ball(spec, 14).words}
-        g, k = by_end[26], by_end[14]  # gk = 40: f(e, gk) spreads
+        spec = H.ball_from_json(line2_ball_json(45), delta=1)
+        by_end = {endpoint(w): w for w in H.build_ball(spec, 20).words}
+        # gk = 40: f(e, gk) spreads; g = 40, gk = 20: f(e, g) spreads, with
+        # one point that f(e, gk) lacks
+        g, k = (by_end[26], by_end[14]) if side == "gk" else (by_end[40], by_end[-20])
     engine = H.ChainEngine(spec)
     window = H.build_ball(spec, 2)
     mul, inv_word = spec._mul, spec._inv_word
     fpoint = engine._f_point_basepoint
     gk = mul(g, k)
-    gammas = window.words[1:]
-    if family == "line2":
-        # exercise the spread path
-        gammas = [x for x in gammas if isinstance(fpoint(mul(inv_word(x), gk)), dict)]
-    gamma0 = gammas[0]
-    w1 = fpoint(mul(inv_word(gamma0), gk))
-    w0 = min(w1) if isinstance(w1, dict) else w1
+    for gamma0 in window.words[1:]:
+        s1 = sorted(as_chain(fpoint(mul(inv_word(gamma0), gk))))
+        s2 = sorted(as_chain(fpoint(mul(inv_word(gamma0), g))))
+        points = s1 if side == "gk" else [w for w in s2 if w not in s1]
+        if points and (family == "free:2" or len(s1 if side == "gk" else s2) > 1):
+            return spec, engine, g, k, window, gamma0, points[0]
+    raise AssertionError(f"no vertex of the window fits the {side} side")
+
+
+def _broken_at(spec, gamma0, w0):
+    """The spec's product with one wrong value, at gamma0 * w0."""
+    mul = spec._mul
     bad = () if mul(gamma0, w0) else (0,)
+    return lambda u, v: bad if (u, v) == (gamma0, w0) else mul(u, v)
 
-    def broken(u, v):
-        return bad if (u, v) == (gamma0, w0) else mul(u, v)
 
-    assert H.Cocycle(engine, 3.0).verify_identity(g, k, window).residual_zero
-    monkeypatch.setattr(spec, "_mul", broken)
-    rep = H.Cocycle(engine, 3.0).verify_identity(g, k, window)
-    assert not rep.residual_zero and rep.witnesses == [gamma0]
+@pytest.mark.parametrize("family", ["free:2", "line2"])
+def test_identity_reports_a_non_associative_product(monkeypatch, family):
+    # break the group law at one product gamma0 * w0, where w0 is a support
+    # point of h_e(gamma0^-1 gk), or one of h_e(gamma0^-1 g) that
+    # h_e(gamma0^-1 gk) lacks: then (g m) w0 != g (m w0) at gamma0 only
+    for side in ("gk", "g"):
+        spec, engine, g, k, window, gamma0, w0 = _planted_fault(family, side)
+        assert H.Cocycle(engine, 3.0).verify_identity(g, k, window).residual_zero
+        with monkeypatch.context() as patched:
+            patched.setattr(spec, "_mul", _broken_at(spec, gamma0, w0))
+            rep = H.Cocycle(engine, 3.0).verify_identity(g, k, window)
+        assert not rep.residual_zero and rep.witnesses == [gamma0], side
+
+
+def _identity_every_occurrence(coc, g, k, window, audit_fraction=0.0, seed=0):
+    """The identity sweep as it ran before it checked each distinct point
+    once: every occurrence of a support point in the two chains, the same
+    audit draws. The reference for ``verify_identity``."""
+    spec = coc.spec
+    mul = spec._mul
+    gk = mul(g, k)
+    rng = random.Random(seed)
+    witnesses = []
+    audited = 0
+    items = zip(window.words, window.walk(gk), window.walk(g),
+                window.walk(spec._inv_word(g), right=True))
+    fpoint = coc.engine._f_point_basepoint
+    for gamma, u1, u2, m in items:
+        c1, c2 = as_chain(fpoint(u1)), as_chain(fpoint(u2))
+        for w in (*c1, *c2):
+            if mul(gamma, w) != mul(g, mul(m, w)):
+                if len(witnesses) < _MAX_WITNESSES:
+                    witnesses.append(gamma)
+                break
+        if audit_fraction and rng.random() < audit_fraction:
+            audited += 1
+            coc._audit_identity(k, gk, gamma, m, c1, c2)
+    return H.IdentityReport(vertices=len(window), residual_zero=not witnesses,
+                            witnesses=witnesses, audited=audited)
+
+
+def _outcome(sweep, *args, **kwargs):
+    """A sweep's report, or the type and message of what it raised."""
+    try:
+        return sweep(*args, **kwargs)
+    except InvariantViolation as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_case(name):
+    """(spec, window, (g, k) pairs) for the reference comparison; on line2
+    the pairs reach the averaging depths, so chains of both sides spread."""
+    rng = random.Random(name)
+    if name == "line2":
+        spec = H.ball_from_json(line2_ball_json(60), delta=1)
+        by_end = {endpoint(w): w for w in H.build_ball(spec, 20).words}
+        pairs = [(by_end[26], by_end[14]), (by_end[40], by_end[-20]), (by_end[-33], by_end[-7])]
+        return spec, H.build_ball(spec, 4), pairs
+    spec = H.FreeGroupSpec(2) if name == "free:2" else H.FreeProductSpec((2, 3))
+    words = H.build_ball(spec, 4).words
+    pairs = [(words[rng.randrange(len(words))], words[rng.randrange(len(words))])
+             for _ in range(6)]
+    return spec, H.build_ball(spec, 3), pairs
+
+
+@pytest.mark.parametrize("name", ["free:2", "zm:2,3", "line2"])
+def test_identity_sweep_matches_the_every_occurrence_reference(name):
+    spec, window, pairs = _oracle_case(name)
+    engine = H.ChainEngine(spec)
+    coc = H.Cocycle(engine, 3.0)
+    fpoint = engine._f_point_basepoint
+    spread = 0
+    for g, k in pairs:
+        for fraction, seed in ((0.0, 0), (0.3, 5)):
+            want = _identity_every_occurrence(coc, g, k, window, fraction, seed)
+            got = coc.verify_identity(g, k, window, audit_fraction=fraction, seed=seed)
+            assert got == want and got.residual_zero
+            assert (got.audited > 0) == bool(fraction)
+        gk = spec._mul(g, k)
+        spread += sum(isinstance(fpoint(u), dict)
+                      for u in (*window.walk(gk), *window.walk(g)))
+    assert (spread > 0) == (name == "line2")
+
+
+@pytest.mark.parametrize("family", ["free:2", "line2"])
+def test_identity_sweep_matches_the_reference_under_planted_faults(monkeypatch, family):
+    for side in ("gk", "g"):
+        spec, engine, g, k, window, gamma0, w0 = _planted_fault(family, side)
+        with monkeypatch.context() as patched:
+            patched.setattr(spec, "_mul", _broken_at(spec, gamma0, w0))
+            for fraction, seed in ((0.0, 0), (0.5, 2), (1.0, 0)):
+                coc = H.Cocycle(engine, 3.0)
+                want = _outcome(_identity_every_occurrence, coc, g, k, window, fraction, seed)
+                got = _outcome(coc.verify_identity, g, k, window,
+                               audit_fraction=fraction, seed=seed)
+                assert got == want, (side, fraction)
+
+
+def test_a_window_of_another_group_is_refused():
+    # line2 given a free:2 ball, free:2 given a zm:2,2,2 ball
+    line2 = H.ball_from_json(line2_ball_json(30), delta=1)
+    for spec, other in ((line2, H.FreeGroupSpec(2)),
+                        (H.FreeGroupSpec(2), H.FreeProductSpec((2, 2, 2)))):
+        coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+        window = H.build_ball(other, 3)
+        g = (0,)
+        with pytest.raises(SpecMismatchError, match="not of the cocycle's group"):
+            coc.verify_identity(g, g, window)
+        with pytest.raises(SpecMismatchError, match="not of the cocycle's group"):
+            _window_norm(coc, g, window)
+
+
+def test_a_window_of_the_same_group_is_accepted(f2, f2_ball3):
+    # the cocycle's own spec, an equal one built separately, another delta
+    g, k = f2.parse("ab"), f2.parse("aab")
+    coc = H.Cocycle(H.ChainEngine(f2), 4.0)
+
+    def both(coc, window):
+        return (coc.verify_identity(g, k, window, audit_fraction=0.2, seed=1),
+                _window_norm(coc, g, window))
+
+    want = both(coc, f2_ball3)
+    assert want[0].residual_zero and want[0].audited
+    for spec in (H.FreeGroupSpec(2), H.FreeGroupSpec(2, delta=2)):
+        assert both(coc, H.build_ball(spec, 3)) == want
+    # a delta = 2 cocycle over the delta = 1 window
+    rep, res = both(H.Cocycle(H.ChainEngine(H.FreeGroupSpec(2, delta=2)), 4.0), f2_ball3)
+    assert rep.residual_zero and rep.vertices == res.window_size == len(f2_ball3)
 
 
 def _break_f(engine, monkeypatch):
