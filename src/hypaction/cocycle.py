@@ -377,7 +377,9 @@ class Cocycle:
         The translates gamma^-1 gk, gamma^-1 g and g^-1 gamma of every
         vertex of the window come from three ``CayleyBall.walk`` passes
         along its BFS tree. A window of another group raises
-        SpecMismatchError.
+        SpecMismatchError. With audits, a window whose audits could reach
+        past the spec's longest word raises ExactnessError before the sweep,
+        whichever vertices the draws pick.
         """
         spec = self.spec
         self._require_window_of(window)
@@ -385,6 +387,11 @@ class Cocycle:
         spec.validate_word(k)
         mul = spec._mul
         gk = mul(g, k)
+        if audit_fraction:
+            # the audits f(m, k), f(gamma, gk) and f(m, e), with |m| <= |g| + R,
+            # reach at most |g| + 2R + max(|gk|, |g|) + delta
+            self.engine._require_margin(
+                g, 2 * window.radius + max(len(gk), len(g)) + spec.delta)
         rng = random.Random(seed)
         witnesses: list[Word] = []
         audited = 0

@@ -14,11 +14,11 @@ supported:
   of each cyclic generator (so every syllable is a single letter and the
   syllable count is the word metric),
 * explicit finite Cayley balls loaded from a JSON file, for groups whose
-  word problem is not solved here. Their vertices are integer handles; a
-  table of left products by each generator and a table of inverses, both
-  filled in the breadth-first search that numbers the vertices, make an
-  inverse one lookup, a product a walk of its shorter factor and each step
-  of a walk along a ball's search tree one lookup.
+  word problem is not solved here. Their vertices are integer handles;
+  per-generator tables of right products (the file's edges) and of left
+  products, and a table of inverses, make an inverse one lookup, a product
+  a walk of its shorter factor and each step of a walk along a ball's
+  search tree one lookup.
 
 Specs and words are immutable; every operation is pure and safe to share
 across threads.
@@ -331,33 +331,32 @@ class ExplicitBallSpec(GroupSpec):
 
     Elements are the canonical words found by breadth-first search from the
     basepoint (expanding generators in declaration order, so the word is the
-    lexicographically least geodesic spelling). ``adj[vid][gi]`` is the
-    vertex reached from ``vid`` along generator ``gi``, or None where that
-    edge leaves the ball. The search also fills, from each vertex's parent,
-    ``left[s][vid]``, the vertex of s . word(vid) (None where the walk from s
-    along word(vid) leaves the ball), and ``inverse[vid]``, the vertex of
-    word(vid)^-1: |S| N + N integers for N vertices.
+    lexicographically least geodesic spelling). Two tables hold the graph,
+    one row of N vertex handles per generator s: ``right[s][vid]``, the
+    vertex of word(vid) . s, from the file's edges, and ``left[s][vid]``,
+    the vertex of s . word(vid), filled by the search from each vertex's
+    parent; None where that step leaves the ball. With ``inverse[vid]``,
+    the vertex of word(vid)^-1, they hold 2 |S| N + N integers.
 
     Products and inverses take vertex words only, found by their handles:
     generators are distinct and none is the identity, so each one-letter
     word is a vertex word. The product u v walks v's letters rightward from
-    u. When |u| + |v| <= R no walk can leave the ball, and the shorter
-    factor is walked: u's letters, reversed, leftward from v through
-    ``left`` when u is the shorter. Every other product takes the right
-    walk, so ``OutOfWindowError`` is raised exactly where the right walk
-    leaves the ball. The inverse is one lookup. A walk along a ball's
-    search tree (``_walk_handles``) steps handles through the same two
-    tables, one lookup per vertex on either side, and raises where the
-    product walk would; ``_walk_tree``, behind ``CayleyBall.walk``, is that
-    walk mapped to words. A windowed cocycle norm takes the handles
-    themselves and reads f(e, .) from one slot per vertex.
+    u through ``right``. When |u| + |v| <= R no walk can leave the ball,
+    and the shorter factor is walked: u's letters, reversed, leftward from
+    v through ``left`` when u is the shorter. Every other product takes the
+    right walk, so ``OutOfWindowError`` is raised exactly where the right
+    walk leaves the ball. The inverse is one lookup. A walk along a ball's
+    search tree (``_walk_handles``) is one loop over the rows of either
+    table, one lookup per vertex, and raises where the product walk would;
+    ``_walk_tree``, behind ``CayleyBall.walk``, is that walk mapped to
+    words. A windowed cocycle norm takes the handles themselves and reads
+    f(e, .) from one slot per vertex.
     """
 
-    def __init__(self, generators, delta, adj, basepoint_idx, radius, name="ball"):
+    def __init__(self, generators, delta, right, n_vertices, basepoint_idx, radius, name="ball"):
         super().__init__(generators, delta, name)
         self.max_word_length = int(radius)
-        self._adj: list[list[int | None]] = adj
-        n_vertices = len(adj)
+        self._right: list[list[int | None]] = right
         inv = self._inv
         words: list[Word | None] = [None] * n_vertices
         dist: list[int] = [-1] * n_vertices
@@ -366,19 +365,20 @@ class ExplicitBallSpec(GroupSpec):
         words[basepoint_idx] = ()
         dist[basepoint_idx] = 0
         inverse[basepoint_idx] = basepoint_idx
-        for s, nb in enumerate(adj[basepoint_idx]):
-            left[s][basepoint_idx] = nb
+        for s, row in enumerate(right):
+            left[s][basepoint_idx] = row[basepoint_idx]
         queue = deque([basepoint_idx])
         while queue:
             vid = queue.popleft()
             w = words[vid]
-            for gi, nb in enumerate(adj[vid]):
+            for gi, step in enumerate(right):
+                nb = step[vid]
                 if nb is not None and dist[nb] < 0:
                     dist[nb] = dist[vid] + 1
                     words[nb] = w + (gi,)
                     for row in left:
                         at = row[vid]
-                        row[nb] = None if at is None else adj[at][gi]
+                        row[nb] = None if at is None else step[at]
                     iv = inverse[vid]
                     inverse[nb] = None if iv is None else left[inv[gi]][iv]
                     queue.append(nb)
@@ -389,12 +389,13 @@ class ExplicitBallSpec(GroupSpec):
                 f"declared radius {radius} but breadth-first search reaches {max(dist)}"
             )
         for vid in range(n_vertices):
-            if dist[vid] < self.max_word_length and None in adj[vid]:
+            if dist[vid] < self.max_word_length and any(row[vid] is None for row in right):
                 raise BallFileError(
                     f"interior vertex at distance {dist[vid]} is missing a generator edge"
                 )
         # each generator's edge from e reaches the vertex spelled by it alone
-        for gi, nb in enumerate(adj[basepoint_idx]):
+        for gi, row in enumerate(right):
+            nb = row[basepoint_idx]
             if nb is not None and words[nb] != (gi,):
                 same = repr(generators[words[nb][0]].label) if words[nb] else "the identity"
                 raise BallFileError(f"generator {generators[gi].label!r} is {same}; "
@@ -416,9 +417,9 @@ class ExplicitBallSpec(GroupSpec):
         raise SpecMismatchError(f"word {u!r} is not a normal form of {self.name}")
 
     def _walk(self, vid: int, letters: Word) -> int:
-        adj = self._adj
+        right = self._right
         for x in letters:
-            vid = adj[vid][x]
+            vid = right[x][vid]
             if vid is None:
                 raise OutOfWindowError("product walks outside the explicit ball")
         return vid
@@ -436,28 +437,19 @@ class ExplicitBallSpec(GroupSpec):
         return self._vertex_word[self._inverse[self._word_vertex[u]]]
 
     def _walk_handles(self, parent_letters, start: Word, right: bool = False) -> list[int]:
-        """The tree walk on vertex handles: a right step by s is ``adj[vid][s]``
-        and a left step by s^-1 is ``left[inv[s]][vid]``. Each entry is the
-        right walk's end, so the walk raises ``OutOfWindowError`` exactly
-        where the product walk leaves the ball."""
+        """The tree walk on vertex handles: a right step by s is
+        ``right[s][vid]`` and a left step by s^-1 is ``left[inv[s]][vid]``.
+        Each entry is the right walk's end, so the walk raises
+        ``OutOfWindowError`` exactly where the product walk leaves the ball."""
+        rows = self._right if right else [self._left[x] for x in self._inv]
         n = len(parent_letters)
         vids = [self._word_vertex[start]] * n
-        if right:
-            adj = self._adj
-            for h in range(1, n):
-                par, letter = parent_letters[h]
-                vid = adj[vids[par]][letter]
-                if vid is None:
-                    raise OutOfWindowError("the walk leaves the explicit ball")
-                vids[h] = vid
-        else:
-            rows = [self._left[x] for x in self._inv]
-            for h in range(1, n):
-                par, letter = parent_letters[h]
-                vid = rows[letter][vids[par]]
-                if vid is None:
-                    raise OutOfWindowError("the walk leaves the explicit ball")
-                vids[h] = vid
+        for h in range(1, n):
+            par, letter = parent_letters[h]
+            vid = rows[letter][vids[par]]
+            if vid is None:
+                raise OutOfWindowError("the walk leaves the explicit ball")
+            vids[h] = vid
         return vids
 
     def _walk_tree(self, parent_letters, start: Word, right: bool = False) -> list[Word]:
@@ -465,7 +457,9 @@ class ExplicitBallSpec(GroupSpec):
         return [word[vid] for vid in self._walk_handles(parent_letters, start, right)]
 
     def neighbors(self, u: Word):
-        for gi, nb in enumerate(self._adj[self._word_vertex[u]]):
+        vid = self._word_vertex[u]
+        for gi, row in enumerate(self._right):
+            nb = row[vid]
             if nb is not None:
                 yield gi, self._vertex_word[nb]
 
@@ -528,21 +522,24 @@ def ball_from_json(data, delta: int = 1, name: str = "ball") -> ExplicitBallSpec
     inv = [g.inverse for g in gens]
     if any(not 0 <= j < len(gens) or inv[j] != i for i, j in enumerate(inv)):
         raise BallFileError("generator inverse table is not an involution")
-    adj: list[list[int | None]] = [[None] * len(gens) for _ in vertex_ids]
+    n_vertices = len(vertex_ids)
+    right: list[list[int | None]] = [[None] * n_vertices for _ in gens]
     for src, gi, dst in raw_edges:
         if src not in vid_of or dst not in vid_of or not 0 <= gi < len(gens):
             raise BallFileError(f"edge ({src}, {gi}, {dst}) references unknown data")
-        row = adj[vid_of[src]]
-        if row[gi] not in (None, vid_of[dst]):
+        row, at = right[gi], vid_of[src]
+        if row[at] not in (None, vid_of[dst]):
             raise BallFileError(f"conflicting edges at ({src}, generator {gi})")
-        row[gi] = vid_of[dst]
-    for src, row in enumerate(adj):
-        for gi, dst in enumerate(row):
-            if dst is not None and adj[dst][inv[gi]] != src:
+        row[at] = vid_of[dst]
+    # vertex by vertex, so the first vertex with a fault is the one reported
+    for src in range(n_vertices):
+        for gi, row in enumerate(right):
+            dst = row[src]
+            if dst is not None and right[inv[gi]][dst] != src:
                 raise BallFileSymmetryError(
                     f"edge ({vertex_ids[src]}, {gi}, {vertex_ids[dst]}) has no reverse"
                 )
-    return ExplicitBallSpec(gens, delta, adj, vid_of[basepoint], radius, name)
+    return ExplicitBallSpec(gens, delta, right, n_vertices, vid_of[basepoint], radius, name)
 
 
 # -- descriptors -------------------------------------------------------------

@@ -186,13 +186,15 @@ def test_verify_explicit_ball(tmp_path):
         tmp_path,
     )
     # no deep word fits in the radius-8 ball, so properness evaluates
-    # nothing: inconclusive (exit 3), neither passed nor failed
+    # nothing, and no identity pair leaves its audits the margin they need:
+    # both are inconclusive (exit 3), neither passed nor failed
     assert code == 3
     report = json.loads(text)
     assert report["passed"] is False
-    assert report["inconclusive"] == ["properness"]
+    inconclusive = ["cocycle-identity", "properness"]
+    assert report["inconclusive"] == inconclusive
     # the other window-limited checks are skipped case by case, not failed
-    assert all(c["passed"] for c in report["checks"] if c["name"] != "properness")
+    assert all(c["passed"] for c in report["checks"] if c["name"] not in inconclusive)
     names = {c["name"] for c in report["checks"]}
     assert "chain-convexity-support" in names
     # where products leave the ball decides what each check evaluates
@@ -204,7 +206,7 @@ def test_verify_explicit_ball(tmp_path):
         "chain-equivariance": (7, {"ExactnessError": 3}),
         "h-normalization": (9, {"ExactnessError": 1}),
         "decay-and-p-selection": (None, None),
-        "cocycle-identity": (5, {}),
+        "cocycle-identity": (0, {"ExactnessError": 5}),
         "properness": (0, {"OutOfWindowError": 10}),
     }
     assert _check(report, "cocycle-identity")["audited"] == 0
@@ -770,3 +772,25 @@ def test_verify_serializes_the_witness_of_a_planted_fault(fault, tmp_path, monke
     witness = check["details"]["witness"]
     assert set(witness) == keys
     assert witness.get("kind") == kind
+
+
+
+def test_verify_serializes_a_word_whose_length_is_not_its_distance(tmp_path, monkeypatch):
+    # the ball's search records its last layer one step too far: group-laws
+    # compares word lengths with those distances before it samples anything,
+    # and fails on the first vertex of that layer
+    from hypaction import suite
+
+    build_ball = suite.build_ball
+
+    def last_layer_too_far(spec, radius, **kw):
+        ball = build_ball(spec, radius, **kw)
+        ball.dist = [d + (d == radius) for d in ball.dist]
+        return ball
+
+    monkeypatch.setattr(suite, "build_ball", last_layer_too_far)
+    code, text = run_cli(["verify", "--group", "free:2", "--radius", "3", "--samples", "40"],
+                         tmp_path)
+    check = next(c for c in json.loads(text)["checks"] if c["name"] == "group-laws")
+    assert code == 1 and not check["passed"] and not check["inconclusive"]
+    assert check["details"] == {"vertices": 53, "witness": "aaa"}

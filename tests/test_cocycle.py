@@ -693,6 +693,21 @@ def test_identity_sweep_matches_the_reference_under_planted_faults(monkeypatch, 
                 assert got == want, (side, fraction)
 
 
+def test_audited_sweeps_check_their_margin_before_they_sweep():
+    # g = -33, gk = -40 over B(e, 4): the audits reach 17 + 8 + 20 + 1 = 46,
+    # one past the ball, whichever vertices are drawn; a sweep without
+    # audits reaches less and passes
+    spec = H.ball_from_json(line2_ball_json(45), delta=1)
+    by_end = {endpoint(w): w for w in H.build_ball(spec, 20).words}
+    g, k = by_end[-33], by_end[-7]
+    window = H.build_ball(spec, 4)
+    coc = H.Cocycle(H.ChainEngine(spec), 3.0)
+    for seed in range(20):
+        with pytest.raises(ExactnessError, match="reaches distance 46 "):
+            coc.verify_identity(g, k, window, audit_fraction=0.1, seed=seed)
+    assert coc.verify_identity(g, k, window).residual_zero
+
+
 def test_a_window_of_another_group_is_refused():
     # line2 given a free:2 ball, free:2 given a zm:2,2,2 ball
     line2 = H.ball_from_json(line2_ball_json(30), delta=1)
@@ -748,6 +763,22 @@ def test_only_the_literal_audits_catch_a_wrong_f(monkeypatch):
     assert coc.verify_identity(g, k, window, audit_fraction=0).residual_zero
     with pytest.raises(InvariantViolation):
         coc.verify_identity(g, k, window, audit_fraction=1.0)
+
+
+def test_the_tail_term_audit_catches_a_wrong_f_toward_e(monkeypatch):
+    # the literal f(a, e) is the point mass at a for every a != e, and the
+    # literal chains toward g k are untouched: only the audit of f(m, e),
+    # the tail term of (pi(g) b(k))(gamma), sees the fault
+    spec = H.FreeGroupSpec(2)
+    engine = H.ChainEngine(spec)
+    g, k = spec.parse("abab"), spec.parse("aab")
+    window = H.build_ball(spec, 3)
+    assert H.Cocycle(engine, 4.0).verify_identity(g, k, window, audit_fraction=1.0).audited
+    literal = engine.f_chain_literal
+    monkeypatch.setattr(engine, "f_chain_literal",
+                        lambda a, b: {a: Fraction(1)} if a and not b else literal(a, b))
+    with pytest.raises(InvariantViolation, match=r"\(tail term\)$"):
+        H.Cocycle(engine, 4.0).verify_identity(g, k, window, audit_fraction=1.0)
 
 
 def test_the_exact_window_audit_catches_a_wrong_f(monkeypatch):

@@ -541,6 +541,72 @@ def test_ball_file_errors(f2):
         H.ball_from_json(badradius)
 
 
+def _line2_edited(edit):
+    """The radius-3 line2 ball file after ``edit(data)``."""
+    data = line2_ball_json(3)
+    edit(data)
+    return data
+
+
+def _drop_edges(*dropped):
+    def edit(data):
+        data["edges"] = [e for e in data["edges"] if tuple(e) not in dropped]
+    return edit
+
+
+# each fault -> the exact error type and message of the loader
+BALL_FILE_FAULTS = {
+    "malformed-edge": (lambda data: data["edges"].append(["0", 0]), BallFileError,
+                       "malformed ball file: not enough values to unpack (expected 3, got 2)"),
+    "duplicate-vertex": (lambda data: data["vertices"].append("0"), BallFileError,
+                         "duplicate vertex ids"),
+    "unknown-vertex": (lambda data: data["edges"].append(["0", 0, "99"]), BallFileError,
+                       "edge (0, 0, 99) references unknown data"),
+    "unknown-generator": (lambda data: data["edges"].append(["0", 4, "1"]), BallFileError,
+                          "edge (0, 4, 1) references unknown data"),
+    "conflicting-edges": (lambda data: data["edges"].append(["0", 0, "2"]), BallFileError,
+                          "conflicting edges at (0, generator 0)"),
+    "unreachable-vertex": (lambda data: data["vertices"].append("island"),
+                           BallFileRadiusError,
+                           "some vertices are unreachable from the basepoint"),
+    # no generator row to count the vertices by
+    "no-generators": (lambda data: data.update(generators=[], edges=[]), BallFileRadiusError,
+                      "some vertices are unreachable from the basepoint"),
+    # 1 is still reached through 2, so only the edges at 0 are missing
+    "missing-interior-edge": (_drop_edges(("0", 0, "1"), ("1", 1, "0")), BallFileError,
+                              "interior vertex at distance 0 is missing a generator edge"),
+    # two edges without reverses: the first vertex holding one is reported,
+    # though the other fault is on a lower generator
+    "first-asymmetric-edge": (_drop_edges(("-5", 2, "-3"), ("5", 1, "4")),
+                              BallFileSymmetryError, "edge (-3, 3, -5) has no reverse"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BALL_FILE_FAULTS))
+def test_ball_file_faults_raise_their_exact_errors(fault):
+    edit, error, message = BALL_FILE_FAULTS[fault]
+    H.ball_from_json(line2_ball_json(3))
+    with pytest.raises(BallFileError) as info:
+        H.ball_from_json(_line2_edited(edit))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_unreadable_ball_files_raise_ball_file_errors(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(BallFileError) as info:
+        H.load_ball_file(missing)
+    assert type(info.value) is BallFileError
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+    assert str(info.value) == f"cannot read ball file {missing}: {info.value.__cause__}"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(BallFileError) as info:
+        H.load_ball_file(bad)
+    assert type(info.value) is BallFileError
+    assert str(info.value) == (f"cannot read ball file {bad}: Expecting property name "
+                               "enclosed in double quotes: line 1 column 2 (char 1)")
+
+
 def test_ball_file_inverse_past_the_last_generator():
     data = H.ball_to_json(H.FreeGroupSpec(1), 2)
     data["generators"][0]["inverse"] = 5
