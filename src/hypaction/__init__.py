@@ -9,7 +9,6 @@ from .analysis import (
     select_p,
     tail_bound,
 )
-from .bicombing import Bicombing
 from .cayley import (
     CayleyBall,
     CertReport,
@@ -18,6 +17,8 @@ from .cayley import (
     certify_delta,
     distance,
     gromov_product,
+    q_path,
+    q_point,
 )
 from .chains import (
     add,
@@ -44,7 +45,6 @@ from .groups import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bicombing",
     "CayleyBall",
     "CertReport",
     "ChainEngine",
@@ -72,6 +72,8 @@ __all__ = [
     "load_ball_file",
     "norm_1",
     "norm_p",
+    "q_path",
+    "q_point",
     "rho_fitter",
     "select_p",
     "spec_from_descriptor",

@@ -1,4 +1,5 @@
-"""Finite Cayley balls, the word metric, Gromov products and fineness checks."""
+"""Finite Cayley balls, the word metric, the bicombing, Gromov products and
+fineness checks."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bicombing import Bicombing
 from .errors import OutOfWindowError, ResourceBudgetError
 from .groups import GroupSpec, Word
 
@@ -104,6 +104,29 @@ def distance(spec: GroupSpec, a: Word, b: Word) -> int:
     return len(spec.offset(a, b))
 
 
+def q_path(spec: GroupSpec, a: Word, b: Word) -> tuple[Word, ...]:
+    """The bicombing geodesic q[a, b] as a vertex sequence: a times the
+    prefixes x[:0], ..., x of the normal form x of a^-1 b; q_path(spec, a, a)
+    is (a,). Normal forms are shortlex-least geodesic words (see
+    :class:`~hypaction.groups.GroupSpec`), so the prefixes lie at distances
+    0, 1, ..., |x| from e and the path is the one greedy descent along the
+    least generator follows. q[ga, gb] = g q[a, b] by construction."""
+    x = spec.offset(a, b)
+    base = tuple(x[:i] for i in range(len(x) + 1))
+    if not a:
+        return base
+    mul = spec._mul
+    return tuple(mul(a, w) for w in base)
+
+
+def q_point(spec: GroupSpec, a: Word, b: Word, t: int) -> Word:
+    """The vertex of q[a, b] at distance t from a, for 0 <= t <= d(a, b)."""
+    x = spec.offset(a, b)
+    if not 0 <= t <= len(x):
+        raise ValueError(f"t={t} is outside 0..{len(x)}")
+    return spec._mul(a, x[:t]) if a else x[:t]
+
+
 def gromov_product(spec: GroupSpec, a: Word, b: Word, c: Word) -> Fraction:
     """(b|c)_a = [d(a,b) + d(a,c) - d(b,c)] / 2, exact as a half-integer."""
     return Fraction(distance(spec, a, b) + distance(spec, a, c) - distance(spec, b, c), 2)
@@ -165,7 +188,6 @@ def certify_delta(
     """
     spec = ball.spec
     mul, inv_word = spec._mul, spec._inv_word
-    q = Bicombing(spec)
     rng = random.Random(seed)
     max_dev = 0
     witness: list[str] = []
@@ -180,8 +202,8 @@ def certify_delta(
         nonlocal max_dev, witness, evaluated
         top = int(gromov_product(spec, a, b, c))
         if top:
-            pab = q.q_path(a, b)
-            pac = q.q_path(a, c)
+            pab = q_path(spec, a, b)
+            pac = q_path(spec, a, c)
             for t in range(1, top + 1):
                 # bicombing points are normal forms; no validation needed
                 dev = len(mul(inv_word(pab[t]), pac[t]))

@@ -38,8 +38,9 @@ from .suite import run_suite
 _BYTES_PER_VERTEX = 408
 _BYTES_PER_LETTER = 8
 _FIXED_BYTES = 1 << 19
-# config fields that take an integer; bool is rejected too
-_INT_FIELDS = ("radius", "seed", "samples", "memory_budget_mb", "delta")
+# the types each config field takes, bool not an integer; p is checked on its own
+_FIELD_TYPES = {"group": (str,), "radius": (int,), "delta": (int, type(None)), "seed": (int,),
+                "samples": (int,), "memory_budget_mb": (int,), "output": (str, type(None))}
 
 
 @dataclass
@@ -64,10 +65,10 @@ class RunConfig:
             if unknown:
                 raise ValueError(f"unknown config fields: {sorted(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        for key in _INT_FIELDS:
-            value = data.get(key)
-            if value is not None and type(value) is not int:
-                raise ValueError(f"config field {key!r} must be an integer, not {value!r}")
+        for key, kinds in _FIELD_TYPES.items():
+            if key in data and type(data[key]) not in kinds:
+                noun = "an integer" if int in kinds else "a string"
+                raise ValueError(f"config field {key!r} must be {noun}, not {data[key]!r}")
         cfg = cls(**data)
         if cfg.radius < 0 or cfg.samples < 0 or cfg.seed < 0 or cfg.memory_budget_mb <= 0:
             raise ValueError("radius, samples and seed must be nonnegative; budget positive")

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .analysis import tail_bound
-from .cayley import CayleyBall
+from .cayley import CayleyBall, q_path
 from .chains import Chain, as_chain, diff_pow, normalized, sub, translate
 from .errors import ExactnessError, InvariantViolation, PSelectionError, SpecMismatchError
 from .flowers import ChainEngine
@@ -151,7 +151,7 @@ class Cocycle:
         and the value is an exact even integer. Otherwise the window is the
         supplied ball B(e, R) and the discarded mass is bounded by the
         geometric tail computed from the fitted decay (``fit``) and growth
-        (``upsilon``).
+        (``upsilon``), except at g = e, where b(e) = 0 is exact in both modes.
         """
         self.spec.validate_word(g)
         if mode == "auto":
@@ -182,23 +182,24 @@ class Cocycle:
         self.engine._require_margin(g, ball.radius + self.spec.delta)
         lower = 0.0
         nonzero = 0
+        tail = 0.0  # b(e) = 0, outside the window too
         if g:
             # ||b(g)(gamma)||_p^p = ||h_e(gamma^-1 g) - h_e(gamma^-1)||_p^p by
-            # left-invariance; b(e) = 0
+            # left-invariance
             diff = self._diff_pow
             for f1, f2 in zip(self._f_walk(ball, g), self._eta_over(ball)):
                 val = diff(f1, f2)
                 if val:
                     nonzero += 1
                     lower += val
-        tail = tail_bound(fit.constant, fit.base, p, upsilon, ball.radius, len(g))
+            tail = tail_bound(fit.constant, fit.base, p, upsilon, ball.radius, len(g))
         return CocycleResult(
             g=g,
             d_g_e=len(g),
             p=p,
             lower=lower,
             tail_bound=tail,
-            exact=False,
+            exact=not g,
             window_size=len(ball),
             nonzero_count=nonzero,
         )
@@ -339,7 +340,7 @@ class Cocycle:
         endpoints: its vertex at position i is i from g and d(g, e) - i from
         e, so they are the positions 10*delta .. d(g, e) - 10*delta."""
         ten = self.engine.ten_delta
-        path = self.engine.q.q_path(g, ())
+        path = q_path(self.spec, g, ())
         return path[ten:len(path) - ten]
 
     def properness_count(self, g: Word) -> int:

@@ -55,7 +55,8 @@ class ChainEngine:
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.q = Bicombing(spec)
+        # read by perfbench/workloads.py only; the bicombing is cayley.q_path
+        self.q = Bicombing()
         self.ten_delta = 10 * spec.delta
         self.cache = ChainCache()
 

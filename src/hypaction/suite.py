@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import analysis, chains
-from .cayley import build_ball, certify_delta, distance
+from .cayley import build_ball, certify_delta, distance, q_path, q_point
 from .cocycle import Cocycle, properness_floors
-from .errors import (ExactnessError, FitError, OutOfWindowError, PSelectionError,
-                     UnderdeterminedFitError)
+from .errors import (ExactnessError, FitError, InvariantViolation, OutOfWindowError,
+                     PSelectionError, UnderdeterminedFitError)
 from .flowers import ChainEngine
 from .groups import GroupSpec
 
@@ -34,12 +34,15 @@ class CheckResult:
         return asdict(self)
 
 
-def _sampled_check(name: str, cases, witness_of, details: dict | None = None) -> CheckResult:
+def _sampled_check(name: str, cases, witness_of, details: dict | None = None,
+                   case_fields=lambda *case: {}) -> CheckResult:
     """Evaluate ``witness_of(*case)`` over the cases up to the first witness.
 
     A case the window cannot support raises and is skipped, counted by its
-    error type. The check passes when some case was evaluated and none gave
-    a witness; with no case evaluated it is inconclusive, not passed.
+    error type. A case whose audit raises InvariantViolation is evaluated,
+    and its witness is ``case_fields(*case)`` with the message under
+    "error". The check passes when some case was evaluated and none gave a
+    witness; with no case evaluated it is inconclusive, not passed.
     """
     details = {} if details is None else details
     evaluated, skipped, witness = 0, Counter(), None
@@ -49,6 +52,8 @@ def _sampled_check(name: str, cases, witness_of, details: dict | None = None) ->
         except (ExactnessError, OutOfWindowError) as exc:
             skipped[type(exc).__name__] += 1
             continue
+        except InvariantViolation as exc:
+            witness = {**case_fields(*case), "error": str(exc)}
         evaluated += 1
         if witness is not None:
             break
@@ -106,16 +111,15 @@ def run_suite(
 
     # 3. bicombing: geodesy and equivariance
     rng = random.Random(seed * 13 + 3)
-    q = engine.q
 
     def bicombing_witness(a, b, g):
-        path = q.q_path(a, b)
+        path = q_path(spec, a, b)
         # q_path lists d(a, b) + 1 points by construction; geodesy is in the steps
         if path[0] != a or path[-1] != b or any(
                 distance(spec, x, y) != 1 for x, y in zip(path, path[1:])):
             return {"kind": "geodesy", "a": spec.label_word(a), "b": spec.label_word(b)}
         moved = tuple(spec.multiply(g, w) for w in path)
-        if q.q_path(spec.multiply(g, a), spec.multiply(g, b)) != moved:
+        if q_path(spec, spec.multiply(g, a), spec.multiply(g, b)) != moved:
             return {"kind": "equivariance", "g": spec.label_word(g)}
         return None
 
@@ -134,7 +138,7 @@ def run_suite(
         if d <= ten and f != {a: Fraction(1)}:
             return {"kind": "base-case", "b": spec.label_word(b), "a": spec.label_word(a)}
         if d > ten:
-            center = q.q_point(b, a, ten)
+            center = q_point(spec, b, a, ten)
             bad = [w for w in f
                    if distance(spec, b, w) != ten or distance(spec, center, w) > spec.delta]
             if bad:
@@ -207,16 +211,19 @@ def run_suite(
     window = build_ball(spec, min(4, radius))
     id_details = {"window": len(window), "audited": 0}
 
+    def identity_fields(g, k):
+        return {"g": spec.label_word(g), "k": spec.label_word(k)}
+
     def identity_witness(g, k):
         rep = coc.verify_identity(g, k, window, audit_fraction=0.05, seed=seed * 13 + 8)
         id_details["audited"] += rep.audited
         if not rep.residual_zero:
-            return {"g": spec.label_word(g), "k": spec.label_word(k),
-                    "gamma": spec.label_word(rep.witnesses[0])}
+            return {**identity_fields(g, k), "gamma": spec.label_word(rep.witnesses[0])}
         return None
 
     pairs = (_sample(rng, words, 2) for _ in range(5))
-    checks.append(_sampled_check("cocycle-identity", pairs, identity_witness, id_details))
+    checks.append(_sampled_check("cocycle-identity", pairs, identity_witness, id_details,
+                                 case_fields=identity_fields))
 
     # 9. disjoint supports and properness counts on deep elements
     rng = random.Random(seed * 13 + 9)
@@ -234,7 +241,8 @@ def run_suite(
         return None
 
     lengths = ((rng.randint(2 * ten, 2 * ten + 6),) for _ in range(10))
-    checks.append(_sampled_check("properness", lengths, properness_witness))
+    checks.append(_sampled_check("properness", lengths, properness_witness,
+                                 case_fields=lambda length: {"length": length}))
 
     return {
         "group": spec.name,

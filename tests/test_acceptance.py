@@ -31,7 +31,6 @@ def _pair_sweep(spec, engine, ball):
     """Every ordered pair (b, a) of ball vertices: convexity, base case,
     support containment, all exact."""
     ten = engine.ten_delta
-    q = engine.q
     mul, inv_word = spec._mul, spec._inv_word
     fe = engine._f_point_basepoint
     one = Fraction(1)
@@ -53,7 +52,8 @@ def _pair_sweep(spec, engine, ball):
                     stats["base_bad"] += 1
             else:
                 stats["deep_pairs"] += 1
-                center = mul(b, q.point_from_identity(x, ten))
+                # q[b, a] at distance ten: b times the prefix of x = b^-1 a
+                center = mul(b, x[:ten])
                 ic = inv_word(center)
                 for w in f:
                     if len(mul(ib, w)) != ten or len(mul(ic, w)) > delta:
@@ -135,7 +135,6 @@ def test_criterion_3_equivariance(f2, f2_engine, f2_ball6, z23, z23_engine, z23_
 
 def test_criterion_4_tree_closed_form(f2, f2_engine):
     rng = random.Random(41)
-    q = f2_engine.q
     bad = 0
     checked = 0
     for _ in range(120):
@@ -149,7 +148,7 @@ def test_criterion_4_tree_closed_form(f2, f2_engine):
             tail.append(rng.choice(options))
         b = f2.multiply(a, tuple(tail))
         assert H.distance(f2, a, b) == d
-        closed = {q.q_point(a, b, 10): Fraction(1)}
+        closed = {H.q_point(f2, a, b, 10): Fraction(1)}
         if f2_engine.f_chain(a, b) != closed:
             bad += 1
         if f2_engine.f_chain_literal(a, b) != closed:
@@ -193,21 +192,19 @@ def test_criterion_6_disjoint_supports(f2, f2_engine, z23, z23_engine):
     deep += [f2.parse("aB" * k) for k in range(10, 13)]
     rng = random.Random(61)
     deep += [_random_deep_word(f2, rng, rng.randint(20, 25)) for _ in range(40)]
-    q = f2_engine.q
     ten = f2_engine.ten_delta
     for g in deep:
-        for gamma in q.q_path(g, ()):
+        for gamma in H.q_path(f2, g, ()):
             if len(gamma) >= ten and len(f2._mul(f2._inv_word(gamma), g)) >= ten:
                 if not coc.disjoint_support_check(g, gamma):
                     bad += 1
                 checked += 1
     zcoc = H.Cocycle(z23_engine, 4.0)
-    zq = z23_engine.q
     rng = random.Random(62)
     done = 0
     while done < 1000:
         g = _random_deep_word(z23, rng, rng.randint(20, 24))
-        path = zq.q_path(g, ())
+        path = H.q_path(z23, g, ())
         admissible = [v for v in path
                       if len(v) >= ten and len(z23._mul(z23._inv_word(v), g)) >= ten]
         gamma = admissible[rng.randrange(len(admissible))]

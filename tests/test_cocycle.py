@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import hypaction as H
+from hypaction import cocycle
 from hypaction.chains import as_chain
 from hypaction.cocycle import _MAX_WITNESSES
 from hypaction.errors import (
@@ -83,6 +84,28 @@ def test_diff_norm_matches_dense(z23, z23_cocycle, z23_ball6):
 def test_exact_norm_identity_element(f2_cocycle):
     res = f2_cocycle.norm(())
     assert res.lower == 0.0 and res.exact and res.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("group", ["zm:2,3", "line2"])
+def test_window_norm_identity_element_is_exact(group):
+    # b(e) = 0 in window mode too: tail 0 and exact, over the whole window,
+    # after the checks every window makes
+    if group == "line2":
+        spec = H.ball_from_json(line2_ball_json(30), delta=1)
+    else:
+        spec = H.spec_from_descriptor(group)
+    coc = H.Cocycle(H.ChainEngine(spec), 4.0)
+    ball = H.build_ball(spec, 6)
+    res = coc.norm((), mode="window", window_ball=ball, fit=_Fit, upsilon=5.0)
+    assert (res.lower, res.tail_bound, res.exact) == (0.0, 0.0, True)
+    assert (res.window_size, res.nonzero_count) == (len(ball), 0)
+    with pytest.raises(PSelectionError):
+        coc.norm((), mode="window", window_ball=ball, fit=_Fit, upsilon=20.0)
+    if group == "line2":
+        # the window evaluations would reach distance 30 + delta
+        with pytest.raises(ExactnessError):
+            coc.norm((), mode="window", window_ball=H.build_ball(spec, 30), fit=_Fit,
+                     upsilon=5.0)
 
 
 def test_exact_norm_closed_form_counts(f2, f2_cocycle):
@@ -478,7 +501,6 @@ def test_disjoint_support_exhaustive_powers(f2, f2_cocycle):
 
 def test_disjoint_support_product_sampled(z23, z23_cocycle):
     rng = random.Random(24)
-    q = z23_cocycle.engine.q
     ten = z23_cocycle.engine.ten_delta
     checked = 0
     for _ in range(60):
@@ -489,7 +511,7 @@ def test_disjoint_support_product_sampled(z23, z23_cocycle):
             letters.append(rng.choice(opts))
         g = tuple(letters)
         z23.validate_word(g)
-        path = q.q_path(g, ())
+        path = H.q_path(z23, g, ())
         admissible = [v for v in path if len(v) >= ten and len(g) - len(v) >= ten]
         gamma = admissible[rng.randrange(len(admissible))]
         assert z23_cocycle.disjoint_support_check(g, gamma)
@@ -511,14 +533,14 @@ def test_properness_count(f2, f2_cocycle):
 def test_properness_count_is_the_sum_of_the_checks(descriptor, monkeypatch):
     spec = H.spec_from_descriptor(descriptor)
     coc = H.Cocycle(H.ChainEngine(spec), 4.0)
-    q = coc.engine.q
     ten = coc.engine.ten_delta
     g = _random_deep_word(spec, random.Random(60), 60)
-    path = q.q_path(g, ())
+    path = H.q_path(spec, g, ())
     expected = sum(coc.disjoint_support_check(g, gamma) for gamma in path[ten:len(path) - ten])
     calls = []
-    q_path = q.q_path
-    monkeypatch.setattr(q, "q_path", lambda a, b: calls.append((a, b)) or q_path(a, b))
+    q_path = cocycle.q_path
+    monkeypatch.setattr(cocycle, "q_path",
+                        lambda spec, a, b: calls.append((a, b)) or q_path(spec, a, b))
     assert coc.properness_count(g) == expected == 60 - 2 * ten + 1
     assert calls == [(g, ())]
 

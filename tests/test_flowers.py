@@ -95,7 +95,6 @@ def test_f_base_case_exhaustive(f2, f2_engine, f2_ball3):
 
 def test_f_tree_closed_form(f2, f2_engine):
     rng = random.Random(12)
-    q = f2_engine.q
     for _ in range(60):
         d = rng.randint(10, 30)
         letters = []
@@ -107,7 +106,7 @@ def test_f_tree_closed_form(f2, f2_engine):
         a, bb = b[:a_shift], b  # a is a prefix, so d(a, bb) = d - a_shift
         if len(bb) - len(a) < 10:
             continue
-        expected = {q.q_point(a, bb, 10): Fraction(1)}
+        expected = {H.q_point(f2, a, bb, 10): Fraction(1)}
         assert f2_engine.f_chain(a, bb) == expected
         assert f2_engine.f_chain_literal(a, bb) == expected
 
@@ -124,7 +123,6 @@ def test_f_literal_matches_engine_product(z23, z23_engine, z23_ball6):
 def test_f_convexity_and_support(z23, z23_engine):
     ten = z23_engine.ten_delta
     rng = random.Random(14)
-    q = z23_engine.q
     ball = H.build_ball(z23, 6)
     words = ball.words
     for _ in range(150):
@@ -137,7 +135,7 @@ def test_f_convexity_and_support(z23, z23_engine):
         if d <= ten:
             assert f == {a: Fraction(1)}
         else:
-            center = q.q_point(b, a, ten)
+            center = H.q_point(z23, b, a, ten)
             for w in f:
                 assert H.distance(z23, b, w) == ten
                 assert H.distance(z23, center, w) <= z23.delta

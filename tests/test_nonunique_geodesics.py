@@ -74,7 +74,6 @@ def test_literal_matches_engine(line2, line2_engine, by_endpoint):
 
 def test_convexity_and_support(line2, line2_engine, by_endpoint):
     rng = random.Random(5)
-    q = line2_engine.q
     ten = line2_engine.ten_delta
     pairs = 0
     for _ in range(200):
@@ -92,7 +91,7 @@ def test_convexity_and_support(line2, line2_engine, by_endpoint):
         if d <= ten:
             assert f == {a: Fraction(1)}
         else:
-            center = q.q_point(b, a, ten)
+            center = H.q_point(line2, b, a, ten)
             for w in f:
                 assert H.distance(line2, b, w) == ten
                 assert H.distance(line2, center, w) <= 1

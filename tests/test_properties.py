@@ -71,14 +71,14 @@ def test_offset_is_left_invariant(engine, data):
 @PROPERTY
 @given(data=st.data())
 def test_bicombing_geodesic_and_equivariant(engine, data):
-    spec, q = engine.spec, engine.q
+    spec = engine.spec
     g, a, b = draw_words(data, spec, 3)
-    path = q.q_path(a, b)
+    path = H.q_path(spec, a, b)
     assert path[0] == a and path[-1] == b
     assert len(path) == H.distance(spec, a, b) + 1
     assert all(H.distance(spec, u, v) == 1 for u, v in zip(path, path[1:]))
     moved = tuple(spec.multiply(g, w) for w in path)
-    assert q.q_path(spec.multiply(g, a), spec.multiply(g, b)) == moved
+    assert H.q_path(spec, spec.multiply(g, a), spec.multiply(g, b)) == moved
 
 
 @PROPERTY
@@ -92,7 +92,7 @@ def test_f_convexity_and_support(engine, data):
     if H.distance(spec, b, a) <= ten:
         assert f == {a: Fraction(1)}
     else:
-        center = engine.q.q_point(b, a, ten)
+        center = H.q_point(spec, b, a, ten)
         for w in f:
             assert H.distance(spec, b, w) == ten
             assert H.distance(spec, center, w) <= spec.delta
