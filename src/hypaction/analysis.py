@@ -17,7 +17,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .cayley import CayleyBall, build_ball
+from .cayley import CayleyBall
 from .chains import normalized_diff_pow
 from .errors import (ExactnessError, FitError, OutOfWindowError, PSelectionError,
                      UnderdeterminedFitError)
@@ -41,9 +41,13 @@ def estimate_upsilon(ball: CayleyBall) -> float:
     A geodesic word of length r + s splits into words of lengths r and s,
     so B(e, r + s) lies in B(e, r) B(e, s) and #B(e, r) <= #B(e, 1)^r. The
     graph is homogeneous, so e is representative; ``ball`` gives the spec.
-    An explicit ball of radius 0 does not determine it: OutOfWindowError.
+    Generators are distinct elements other than the identity on every
+    family (ball files are checked on load), so #B(e, 1) = 1 + |S|. An
+    explicit ball of radius 0 does not determine it: OutOfWindowError.
     """
-    return float(len(build_ball(ball.spec, 1)))
+    if ball.spec.max_word_length < 1:
+        raise OutOfWindowError("requested radius 1 exceeds the longest word of the spec, 0")
+    return float(1 + len(ball.spec.generators))
 
 
 @dataclass

@@ -15,28 +15,23 @@ class CayleyBall:
     """The ball B(e, R): vertices in breadth-first order with dense handles.
 
     Immutable after construction; queries are pure. ``words[h]`` is the
-    normal form of vertex handle h, ``index`` maps it back to h and
-    ``dist[h]`` is its distance from the identity. ``parent_letters[h]`` is
-    the edge of the search tree that first reached h, (parent handle,
-    generator); normal forms are prefix-closed, so ``words[h]`` is the
-    parent's word followed by that generator. Entry 0 is (-1, -1).
+    normal form of vertex handle h, geodesic, so of length d(e, h), and
+    layer r holds handles ``_layer_bounds[r]`` to ``_layer_bounds[r + 1] - 1``.
+    ``parent_letters[h]`` is the edge of the search tree that first reached
+    h, (parent handle, generator); normal forms are prefix-closed, so
+    ``words[h]`` is the parent's word followed by that generator. Entry 0 is
+    (-1, -1).
     """
 
-    def __init__(self, spec: GroupSpec, radius: int, words, index, dist, parent_letters,
-                 layer_bounds):
+    def __init__(self, spec: GroupSpec, radius: int, words, parent_letters, layer_bounds):
         self.spec = spec
         self.radius = radius
         self.words: list[Word] = words
-        self.index: dict[Word, int] = index
-        self.dist: list[int] = dist
         self.parent_letters: list[tuple[int, int]] = parent_letters
         self._layer_bounds = layer_bounds
 
     def __len__(self):
         return len(self.words)
-
-    def __contains__(self, w: Word):
-        return w in self.index
 
     def layer_sizes(self) -> list[int]:
         return [self._layer_bounds[r + 1] - self._layer_bounds[r] for r in range(self.radius + 1)]
@@ -49,8 +44,9 @@ class CayleyBall:
         per vertex, so a sweep over the ball needs no inversions or full
         products. On an explicit ball each step is one table lookup on
         vertex handles, a left step included, and the handles are mapped to
-        words once at the end.
+        words once at the end. ``start`` is validated once.
         """
+        self.spec.validate_word(start)
         return self.spec._walk_tree(self.parent_letters, start, right)
 
 
@@ -64,24 +60,22 @@ def build_ball(spec: GroupSpec, radius: int, max_vertices: int | None = None) ->
             f"{spec.max_word_length}"
         )
     words: list[Word] = [()]
-    dist = [0]
-    index: dict[Word, int] = {(): 0}
+    seen = {()}
     parents = [(-1, -1)]
     layer_bounds = [0, 1]
     for r in range(1, radius + 1):
         for h in range(layer_bounds[-2], layer_bounds[-1]):
             for gi, nb in spec.neighbors(words[h]):
-                if nb not in index:
-                    index[nb] = len(words)
+                if nb not in seen:
+                    seen.add(nb)
                     words.append(nb)
-                    dist.append(r)
                     parents.append((h, gi))
                     if max_vertices is not None and len(words) > max_vertices:
                         raise ResourceBudgetError(
                             f"ball exceeds the budget of {max_vertices} vertices at radius {r}"
                         )
         layer_bounds.append(len(words))
-    return CayleyBall(spec, radius, words, index, dist, parents, layer_bounds)
+    return CayleyBall(spec, radius, words, parents, layer_bounds)
 
 
 def ball_to_json(spec: GroupSpec, radius: int) -> dict:
@@ -213,7 +207,7 @@ def certify_delta(
             evaluated += 1
 
     if exhaustive_radius is not None:
-        small = [w for w, d in zip(ball.words, ball.dist) if d <= exhaustive_radius]
+        small = ball.words[:ball._layer_bounds[exhaustive_radius + 1]]
         for a in small:
             for b in small:
                 for c in small:

@@ -97,6 +97,11 @@ class Cocycle:
 
     def diff_norm_pow(self, g: Word, gamma: Word) -> float:
         """||b(g)(gamma)||_p^p via left-invariance (no translations built)."""
+        self.spec.validate_word(g)
+        self.spec.validate_word(gamma)
+        return self._diff_norm_pow(g, gamma)
+
+    def _diff_norm_pow(self, g: Word, gamma: Word) -> float:
         spec = self.spec
         ig = spec._inv_word(gamma)
         fpoint = self.engine._f_point_basepoint
@@ -305,7 +310,7 @@ class Cocycle:
                 banned = (inv[suffix[-1]],)
             gamma = spec._mul(g[:i], tuple(suffix))
             expected = 2.0 if len(suffix) <= ten - 1 else 0.0
-            got = self.diff_norm_pow(g, gamma)
+            got = self._diff_norm_pow(g, gamma)
             if abs(got - expected) > 1e-9:
                 raise InvariantViolation(
                     f"exact-window audit failed at {spec.label_word(gamma)}: "

@@ -73,7 +73,7 @@ class ChainEngine:
         """Fl(v, w) = S(v, d(v, w)) /\\ B(w, delta) = v . Fl(e, v^-1 w), sorted; never empty."""
         spec = self.spec
         x = spec.offset(v, w)
-        self._require_margin(w, spec.delta)
+        self._require_margin(v, len(x) + spec.delta)
         return tuple(sorted(spec._mul(v, y) for y in self._flower_members_from_identity(x)))
 
     def _flower_members_from_identity(self, x: Word) -> list[Word]:

@@ -359,11 +359,9 @@ class ExplicitBallSpec(GroupSpec):
         self._right: list[list[int | None]] = right
         inv = self._inv
         words: list[Word | None] = [None] * n_vertices
-        dist: list[int] = [-1] * n_vertices
         left: list[list[int | None]] = [[None] * n_vertices for _ in generators]
         inverse: list[int | None] = [None] * n_vertices
         words[basepoint_idx] = ()
-        dist[basepoint_idx] = 0
         inverse[basepoint_idx] = basepoint_idx
         for s, row in enumerate(right):
             left[s][basepoint_idx] = row[basepoint_idx]
@@ -373,8 +371,7 @@ class ExplicitBallSpec(GroupSpec):
             w = words[vid]
             for gi, step in enumerate(right):
                 nb = step[vid]
-                if nb is not None and dist[nb] < 0:
-                    dist[nb] = dist[vid] + 1
+                if nb is not None and words[nb] is None:
                     words[nb] = w + (gi,)
                     for row in left:
                         at = row[vid]
@@ -382,16 +379,17 @@ class ExplicitBallSpec(GroupSpec):
                     iv = inverse[vid]
                     inverse[nb] = None if iv is None else left[inv[gi]][iv]
                     queue.append(nb)
-        if any(d < 0 for d in dist):
+        if None in words:
             raise BallFileRadiusError("some vertices are unreachable from the basepoint")
-        if max(dist) != self.max_word_length:
+        reach = max(map(len, words))
+        if reach != self.max_word_length:
             raise BallFileRadiusError(
-                f"declared radius {radius} but breadth-first search reaches {max(dist)}"
+                f"declared radius {radius} but breadth-first search reaches {reach}"
             )
-        for vid in range(n_vertices):
-            if dist[vid] < self.max_word_length and any(row[vid] is None for row in right):
+        for vid, w in enumerate(words):
+            if len(w) < reach and any(row[vid] is None for row in right):
                 raise BallFileError(
-                    f"interior vertex at distance {dist[vid]} is missing a generator edge"
+                    f"interior vertex at distance {len(w)} is missing a generator edge"
                 )
         # each generator's edge from e reaches the vertex spelled by it alone
         for gi, row in enumerate(right):

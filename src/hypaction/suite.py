@@ -81,10 +81,11 @@ def run_suite(
     engine = ChainEngine(spec)
     words = ball.words
 
-    # 1. word lengths agree with breadth-first distances, then sampled
+    # 1. word lengths agree with the breadth-first layers, then sampled
     # inverses (cases (g,)) and associativity (cases (x, y, z))
     rng = random.Random(seed * 13 + 1)
-    bfs_fail = next((w for w, d in zip(words, ball.dist) if len(w) != d), None)
+    dist = (r for r, size in enumerate(ball.layer_sizes()) for _ in range(size))
+    bfs_fail = next((w for w, d in zip(words, dist) if len(w) != d), None)
     if bfs_fail is None:
         inverses = [(g,) for g in _sample(rng, words, samples)]
         triples = list(zip(*(_sample(rng, words, samples) for _ in range(3))))

@@ -58,6 +58,20 @@ def test_upsilon_is_the_unit_ball_size(family, unit_ball, radius):
     assert all(sum(sizes[: r + 1]) <= ups ** r for r in range(1, 9))
 
 
+def test_upsilon_builds_no_ball(f2_ball6, z23_ball8, monkeypatch):
+    # upsilon = 1 + |S| is read off the generators
+    from hypaction import analysis, cayley
+
+    line2 = H.build_ball(H.ball_from_json(line2_ball_json(10)), 10)
+
+    def refuse(*args, **kw):
+        raise AssertionError("estimate_upsilon built a ball")
+
+    monkeypatch.setattr(cayley, "build_ball", refuse)
+    monkeypatch.setattr(analysis, "build_ball", refuse, raising=False)
+    assert [H.estimate_upsilon(b) for b in (f2_ball6, z23_ball8, line2)] == [5.0, 4.0, 5.0]
+
+
 def test_upsilon_undetermined_by_a_ball_file_of_radius_zero():
     spec = H.ball_from_json(line2_ball_json(0), delta=1)
     with pytest.raises(OutOfWindowError):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import hypaction as H
-from hypaction.errors import OutOfWindowError, ResourceBudgetError
+from hypaction.errors import OutOfWindowError, ResourceBudgetError, SpecMismatchError
 from hypaction.suite import run_suite
 
 from line2 import line2_ball_json
@@ -85,7 +85,7 @@ def test_certify_delta_degenerate(f2, f2_ball6):
 def test_certify_delta_counts_evaluated_triples(f2, f2_ball6):
     # the sweep over B(e, 1)^3 plus every sample, drawn as certify_delta
     # draws them; a triple counts only when (b|c)_a >= 1
-    small = [w for w, d in zip(f2_ball6.words, f2_ball6.dist) if d <= 1]
+    small = [w for w in f2_ball6.words if len(w) <= 1]
     pool = f2_ball6.words
     rng = random.Random(1)
     sampled = [tuple(pool[rng.randrange(len(pool))] for _ in range(3)) for _ in range(7)]
@@ -163,21 +163,21 @@ def test_parent_letters(f2_ball6, z23_ball6):
     line2 = H.build_ball(H.ball_from_json(line2_ball_json(30)), 30)
     for ball in (f2_ball6, z23_ball6, line2):
         assert ball.parent_letters[0] == (-1, -1)
-        assert len(ball.parent_letters) == len(ball.words) == len(ball.index)
+        assert len(ball.parent_letters) == len(ball.words) == len(set(ball.words))
         for h in range(1, len(ball.words)):
             par, letter = ball.parent_letters[h]
             w = ball.words[h]
             assert ball.words[par] == w[:-1]
             assert letter == w[-1]
-            assert ball.index[w] == h and ball.dist[par] == ball.dist[h] - 1
 
 
 def test_adjacency_symmetric(z23, z23_ball6):
     # every Cayley edge inside the ball is matched by its reverse edge
     inv = z23._inv
+    inside = set(z23_ball6.words)
     for w in z23_ball6.words:
         for gi, nb in z23.neighbors(w):
-            if nb in z23_ball6:
+            if nb in inside:
                 assert (inv[gi], w) in set(z23.neighbors(nb))
 
 
@@ -188,6 +188,16 @@ def test_walk_matches_products(f2, z23, f2_ball6, z23_ball6, right):
             expected = [spec.multiply(start, w) if right
                         else spec.multiply(spec.invert(w), start) for w in ball.words]
             assert ball.walk(start, right=right) == expected
+
+
+def test_walk_validates_its_start(f2):
+    # "aA" is no normal form: on free:2 it is not freely reduced, on the
+    # line2 ball "pP" is no vertex word; either way the walk refuses it
+    line2 = H.ball_from_json(line2_ball_json(22))
+    for ball in (H.build_ball(f2, 3), H.build_ball(line2, 22)):
+        for right in (False, True):
+            with pytest.raises(SpecMismatchError):
+                ball.walk((0, 1), right=right)
 
 
 @pytest.mark.parametrize("data", [line2_ball_json(22), line2_ball_json(30),

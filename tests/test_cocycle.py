@@ -13,6 +13,7 @@ from hypaction.cocycle import _MAX_WITNESSES
 from hypaction.errors import (
     ExactnessError,
     InvariantViolation,
+    OutOfWindowError,
     PSelectionError,
     SpecMismatchError,
 )
@@ -65,6 +66,19 @@ def test_b_at_near_identity(f2, f2_cocycle):
     val = f2_cocycle.b_at(g, ())
     assert val == {g: 1.0, (): -1.0}
     assert f2_cocycle.diff_norm_pow(g, ()) == pytest.approx(2.0)
+
+
+def test_diff_norm_pow_validates_its_words(f2, f2_engine):
+    # g = "aA" is no normal form (it is the identity, and b(e) = 0); on the
+    # line2 ball "pP" is no vertex word, and 23 letters lie beyond radius 22
+    line2 = H.ball_from_json(line2_ball_json(22))
+    for coc in (H.Cocycle(f2_engine, 4.0), H.Cocycle(H.ChainEngine(line2), 4.0)):
+        for g, gamma in (((0, 1), ()), ((), (0, 1))):
+            with pytest.raises(SpecMismatchError):
+                coc.diff_norm_pow(g, gamma)
+    coc = H.Cocycle(H.ChainEngine(line2), 4.0)
+    with pytest.raises(OutOfWindowError):
+        coc.diff_norm_pow((0,) * 23, ())
 
 
 def test_diff_norm_matches_dense(z23, z23_cocycle, z23_ball6):
@@ -258,8 +272,8 @@ def test_exact_window_audit_draws_pinned_vertices(family, g_text, seed, audited,
     spec = H.spec_from_descriptor(family)
     coc = H.Cocycle(H.ChainEngine(spec), 2.0)
     seen = []
-    diff = coc.diff_norm_pow
-    monkeypatch.setattr(coc, "diff_norm_pow",
+    diff = coc._diff_norm_pow
+    monkeypatch.setattr(coc, "_diff_norm_pow",
                         lambda g, gamma: seen.append(gamma) or diff(g, gamma))
     coc.norm(spec.parse(g_text), audit_samples=len(audited), seed=seed)
     assert [spec.label_word(x) for x in seen] == audited
@@ -562,7 +576,7 @@ def test_identity_inverse_pair(f2, f2_cocycle, f2_ball3):
 
 def test_identity_random_pairs(f2, f2_cocycle, f2_ball6):
     rng = random.Random(25)
-    words = [w for w, d in zip(f2_ball6.words, f2_ball6.dist) if d <= 4]
+    words = [w for w in f2_ball6.words if len(w) <= 4]
     window = H.build_ball(f2_cocycle.spec, 5)
     for _ in range(12):
         g = words[rng.randrange(len(words))]

@@ -155,7 +155,7 @@ def test_f_deep_convexity(z23, z23_engine):
 
 def test_f_equivariance(f2, f2_engine, f2_ball6):
     rng = random.Random(15)
-    small = [w for w, d in zip(f2_ball6.words, f2_ball6.dist) if d <= 2]
+    small = [w for w in f2_ball6.words if len(w) <= 2]
     pairs = [
         (f2_ball6.words[rng.randrange(len(f2_ball6.words))],
          f2_ball6.words[rng.randrange(len(f2_ball6.words))])
@@ -327,3 +327,14 @@ def test_explicit_margin_refusal(f2):
         engine.f_chain((), spec.parse("a^6"))  # needs radius 6 + delta
     with pytest.raises(ExactnessError):
         engine.flower((), spec.parse("a^6"))
+
+
+def test_flower_checks_the_margin_of_f_chain():
+    # Fl(v, w) reaches |v| + d(v, w) + delta from e, as f(v, w) does: on the
+    # radius-22 line2 ball, q^11 and Q^11 lie 22 apart, a reach of 34
+    spec = H.ball_from_json(line2_ball_json(22))
+    engine = H.ChainEngine(spec)
+    v, w = spec.parse("q^11"), spec.parse("Q^11")
+    for compute in (engine.f_chain, engine.flower):
+        with pytest.raises(ExactnessError, match="reaches distance 34"):
+            compute(v, w)
